@@ -30,10 +30,18 @@ QCF_WORKERS=4 cargo test --release -q -p qtensor --test cache_proptests
 
 # Steady-state apply loop must stay at zero heap allocations per gate
 # (counting global allocator; release mode so dead allocs can't hide).
-echo "== allocation regression (release) =="
-cargo test --release -q -p qcf-bench --test alloc_regression
-cargo test --release -q -p qcf-bench --test alloc_arena
-cargo test --release -q -p qcf-bench --test alloc_cusz_table
+# The codec gates check the single-worker fast path and skip on a larger
+# pool, so all three run pinned to one worker to bind on any host.
+echo "== allocation regression (release, QCF_WORKERS=1) =="
+QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_regression
+QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_arena
+QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_cusz_table
+
+# The benchmark crate lives outside the workspace but implements the
+# Compressor trait (its timing wrapper), so a trait change must keep it
+# building and its own tests passing.
+echo "== benchmark crate tests =="
+cargo test --offline --manifest-path qcfbench/Cargo.toml
 
 # One pass over every bench workload with assertions instead of timing:
 # the vectorized codec kernels must stay bit-identical to their scalar

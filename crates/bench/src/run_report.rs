@@ -106,6 +106,10 @@ pub struct QualityRow {
     /// (measured only for the paper's cuSZ/cuSZx targets) — the honest
     /// serial baseline `multicore_speedup` divides by.
     pub host_compress_bps_serial: Option<f64>,
+    /// Threads the round trip actually ran on, capped at the host's cores
+    /// — 1 for a serial codec on any host. Per-core throughput divides by
+    /// this, not by the host's core count.
+    pub workers: usize,
 }
 
 /// Physical cores the host reports — the figure all per-core throughput
@@ -356,8 +360,10 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
     let tensor = synthetic_tensor(1 << 14, 0.3, config.seed);
     let mut quality = Vec::new();
     for comp in cli::cli_lineup() {
+        gpu_model::exec::take_peak_workers();
         let r = round_trip(comp.as_ref(), &tensor.data, config.bound)
             .map_err(|e| CliError(format!("{} round trip: {e}", comp.name())))?;
+        let workers = gpu_model::exec::take_peak_workers().min(detected_cores());
         // Serial re-measurement for the multi-core speedup record: the
         // same round trip with the worker pool pinned to 1. Only the
         // paper's GPU-compressor targets carry the >=2x scaling gate.
@@ -379,6 +385,7 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
             gpu_decompress_bps: r.gpu_decompress_bps,
             host_compress_bps: r.host_compress_bps,
             host_compress_bps_serial: serial,
+            workers,
         });
     }
     let _ = scope.finish();
@@ -742,7 +749,7 @@ impl RunReport {
         );
 
         let arena = gpu_model::thread_arena_stats();
-        let _ = writeln!(out, "## Workspace arena (reporting thread)\n");
+        let _ = writeln!(out, "## Scratch arena (reporting thread)\n");
         let _ = writeln!(
             out,
             "- bytes in use {} | high water {} | phase resets {} | chunks {}\n",
@@ -790,12 +797,12 @@ impl RunReport {
     /// The run's stable scalars as flat `key → number` pairs — the baseline
     /// format `--baseline`/`--check` diff against. Deterministic quantities
     /// only get hard-checked ([`check`]); `*_bps` throughput keys are
-    /// machine-dependent and soft by default, and `host.cores` is recorded
-    /// so [`check`] can normalize them per core across hosts.
+    /// machine-dependent and soft by default, and `host.cores` plus each
+    /// codec's `quality.*.workers` are recorded so [`check`] can normalize
+    /// them per core across hosts.
     pub fn baseline(&self) -> BTreeMap<String, f64> {
-        let cores = detected_cores() as f64;
         let mut m = BTreeMap::new();
-        m.insert("host.cores".into(), cores);
+        m.insert("host.cores".into(), detected_cores() as f64);
         m.insert("qaoa.energy".into(), self.qaoa.energy);
         m.insert("qaoa.ratio".into(), self.qaoa.ratio);
         m.insert(
@@ -861,25 +868,39 @@ impl RunReport {
         m.insert("slo.objectives".into(), self.slo.rows.len() as f64);
         m.insert("slo.violations".into(), self.slo.violations as f64);
         for r in &self.quality {
-            m.insert(format!("quality.{}.cr", r.name), r.cr);
-            m.insert(format!("quality.{}.max_abs_err", r.name), r.max_abs_err);
-            m.insert(
-                format!("quality.{}.host_compress_bps", r.name),
-                r.host_compress_bps,
-            );
-            m.insert(
-                format!("quality.{}.host_compress_bps_per_core", r.name),
-                r.host_compress_bps / cores,
-            );
-            if let Some(serial) = r.host_compress_bps_serial {
-                m.insert(
-                    format!("quality.{}.multicore_speedup", r.name),
-                    r.host_compress_bps / serial.max(f64::MIN_POSITIVE),
-                );
-            }
+            quality_baseline(r, &mut m);
         }
         m
     }
+}
+
+/// One quality row's `quality.<codec>.*` baseline keys.
+fn quality_baseline(r: &QualityRow, m: &mut BTreeMap<String, f64>) {
+    m.insert(format!("quality.{}.cr", r.name), r.cr);
+    m.insert(format!("quality.{}.max_abs_err", r.name), r.max_abs_err);
+    m.insert(
+        format!("quality.{}.host_compress_bps", r.name),
+        r.host_compress_bps,
+    );
+    m.insert(format!("quality.{}.workers", r.name), r.workers as f64);
+    m.insert(
+        format!("quality.{}.host_compress_bps_per_core", r.name),
+        r.host_compress_bps / r.workers.max(1) as f64,
+    );
+    if let Some(serial) = r.host_compress_bps_serial {
+        m.insert(
+            format!("quality.{}.multicore_speedup", r.name),
+            r.host_compress_bps / serial.max(f64::MIN_POSITIVE),
+        );
+    }
+}
+
+/// The workers a `quality.<codec>.*` key's codec ran on, from the same
+/// map's `quality.<codec>.workers` record; `None` for other keys and for
+/// baselines that predate the record.
+fn recorded_workers(m: &BTreeMap<String, f64>, key: &str) -> Option<f64> {
+    let (codec, _) = key.rsplit_once('.')?;
+    m.get(&format!("{codec}.workers")).map(|w| w.max(1.0))
 }
 
 /// Renders a flat baseline map as JSON (sorted keys, one pair per line).
@@ -980,9 +1001,10 @@ const SPEEDUP_MIN_CORES: f64 = 4.0;
 /// 5%, max-abs-err growth beyond 5%, or energy drift beyond first-order
 /// noise. Throughput (`*_bps`) losses beyond 50% are warnings, upgraded to
 /// regressions under `strict_throughput`; before comparing, each side is
-/// normalized by its own recorded `host.cores` so a baseline captured on a
-/// big machine doesn't fail every smaller host (`*_bps_per_core` keys are
-/// stored pre-normalized and compared as-is).
+/// normalized by the workers its codec recorded (`quality.*.workers`,
+/// falling back to the side's `host.cores`), so neither a baseline captured
+/// on a big machine nor a serial codec on a big runner trips the rule
+/// (`*_bps_per_core` keys are stored pre-normalized and compared as-is).
 ///
 /// Additionally, `quality.*.multicore_speedup` records in `current` are
 /// gated absolutely: on a >=4-core host a speedup below 2x is a hard
@@ -1038,11 +1060,14 @@ pub fn check(
             }
         } else if key.ends_with("_bps") || key.ends_with("_bps_per_core") {
             // Compare per-core figures: `_bps_per_core` keys already are,
-            // raw `_bps` keys divide by their own side's recorded cores.
+            // raw `_bps` keys divide by their own side's recorded workers.
             let (base_pc, now_pc) = if key.ends_with("_bps_per_core") {
                 (base, now)
             } else {
-                (base / cores_base, now / cores_now)
+                (
+                    base / recorded_workers(stored, key).unwrap_or(cores_base),
+                    now / recorded_workers(current, key).unwrap_or(cores_now),
+                )
             };
             if now_pc < base_pc * (1.0 - BPS_TOLERANCE) {
                 let msg = format!(
@@ -1445,6 +1470,32 @@ mod tests {
         cur.insert("quality.cuSZ.host_compress_bps_per_core".into(), 0.5e9);
         let res = check(&cur, &base, true);
         assert_eq!(res.regressions.len(), 2, "{:?}", res.regressions);
+    }
+
+    #[test]
+    fn serial_codec_throughput_is_not_divided_by_host_cores() {
+        // A serial codec at an unchanged 1 GB/s: recorded on a 1-core
+        // baseline host, then measured on an 8-core runner.
+        let row = QualityRow {
+            name: "LZ4".into(),
+            cr: 1.2,
+            max_abs_err: 0.0,
+            psnr_db: f64::INFINITY,
+            gpu_compress_bps: 1e10,
+            gpu_decompress_bps: 1e10,
+            host_compress_bps: 1e9,
+            host_compress_bps_serial: None,
+            workers: 1,
+        };
+        let mut base = BTreeMap::new();
+        base.insert("host.cores".into(), 1.0);
+        quality_baseline(&row, &mut base);
+        let mut cur = BTreeMap::new();
+        cur.insert("host.cores".into(), 8.0);
+        quality_baseline(&row, &mut cur);
+        let res = check(&cur, &base, true);
+        assert!(res.ok(), "{:?}", res.regressions);
+        assert!(res.warnings.is_empty(), "{:?}", res.warnings);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Arena-backed warm-path allocation guard.
 //!
 //! Installs a counting global allocator and asserts that, once the
-//! thread-local bump arena, the workspace pools, and the stream's event
+//! thread-local bump arena, the caller's buffers, and the stream's event
 //! log are warm, a full cuSZx `compress_raw_into`/`decompress_raw_into`
 //! round trip performs ZERO heap allocations: block-code scratch comes
-//! from the arena phase, the payload writer and output buffers from the
-//! workspace pools, and the serial single-worker fast path never spawns.
+//! from the arena phase, the payload is written straight into the
+//! caller's reused output buffer, and the serial single-worker fast path
+//! never spawns.
+//!
+//! Run it with `QCF_WORKERS=1` (as ci.sh does): on a multi-worker pool the
+//! test prints `skipping` and checks nothing.
 //!
 //! (cuSZ's warm path is arena-backed for its symbol plane too; its
 //! chunked-Huffman table construction is pooled in the codec's
@@ -98,8 +102,8 @@ fn warm_cuszx_round_trip_allocates_nothing() {
     let mut bytes = Vec::new();
     let mut out = Vec::new();
 
-    // Warm-up: grow the workspace pools, the arena chunk, the output
-    // buffers, and the stream's kernel-event log (a Vec that doubles; 24
+    // Warm-up: grow the arena chunk, the output buffers, and the
+    // stream's kernel-event log (a Vec that doubles; 24
     // rounds of 2 launches land its capacity well past the measured
     // window below).
     for _ in 0..24 {

@@ -1,8 +1,8 @@
 //! Chunked-Huffman table pooling guard (cuSZ's warm compress path).
 //!
 //! Installs a counting global allocator and asserts that, once the
-//! thread-local bump arena, the workspace pools and the codec's encode
-//! pool are warm, a cuSZ `compress_raw_into` allocates at most once per
+//! thread-local bump arena, the caller's output buffer and the codec's
+//! encode pool are warm, a cuSZ `compress_raw_into` allocates at most once per
 //! call: the dual-quant kernel's per-block outlier table, which is the
 //! only remaining cold structure. Everything the chunked-Huffman stage
 //! used to allocate per call — partial histograms, the merged frequency
@@ -10,6 +10,11 @@
 //! arrays) and the per-chunk payload writers — now lives in the codec's
 //! thread-local `EncodePool` and must stay out of the warm loop. A
 //! regression there adds ~15 allocations per round and fails loudly.
+//! The Huffman payload is emitted straight into the caller's output
+//! buffer.
+//!
+//! Run it with `QCF_WORKERS=1` (as ci.sh does): on a multi-worker pool the
+//! test prints `skipping` and checks nothing.
 //!
 //! Keep this file to a single `#[test]`: the counter only counts the
 //! opted-in test thread, but a sibling test reusing that thread would
@@ -82,8 +87,8 @@ fn warm_cusz_compress_tables_come_from_the_pool() {
     let bound = ErrorBound::Abs(1e-3);
     let mut bytes = Vec::new();
 
-    // Warm-up: grow the arena chunk, the workspace payload buffer, the
-    // codec's thread-local encode pool and the stream's event log. 40
+    // Warm-up: grow the arena chunk, the output buffer, the codec's
+    // thread-local encode pool and the stream's event log. 40
     // rounds of 5 launches put the event log's doubling capacity (256)
     // well past the measured window below.
     for _ in 0..40 {

@@ -30,11 +30,9 @@ impl BitWriter {
         }
     }
 
-    /// A writer that emits into `buf`, which is cleared first but keeps its
-    /// capacity — the allocation-reuse path: recover the vector with
-    /// [`finish`](BitWriter::finish) and check it back into a pool.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
+    /// A writer that appends to `buf`'s existing bytes, reusing its
+    /// capacity; recover the vector with [`finish`](BitWriter::finish).
+    pub fn from_vec(buf: Vec<u8>) -> Self {
         BitWriter {
             out: buf,
             acc: 0,
@@ -208,13 +206,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_vec_clears_but_keeps_capacity() {
-        let buf = vec![0xFFu8; 64];
+    fn from_vec_appends_and_keeps_capacity() {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&[0xFF, 0xFF]);
         let cap = buf.capacity();
         let mut w = BitWriter::from_vec(buf);
         w.write_bits(0b1011, 4);
         let out = w.finish();
-        assert_eq!(out, vec![0b1011]);
+        assert_eq!(out, vec![0xFF, 0xFF, 0b1011]);
         assert!(out.capacity() >= cap, "capacity must be preserved");
     }
 

@@ -54,9 +54,8 @@ pub fn encode_chunked(symbols: &[u32], alphabet_size: usize, chunk: usize) -> Ve
     out
 }
 
-/// [`encode_chunked`] into a caller-provided buffer, which is cleared first
-/// (reusing its capacity). Bytes produced are identical to the allocating
-/// variant. Scratch state (histograms, codebook, per-chunk writers) comes
+/// [`encode_chunked`] appended to a caller-provided buffer (reusing its
+/// capacity). Bytes appended are identical to the allocating variant. Scratch state (histograms, codebook, per-chunk writers) comes
 /// from a thread-local pool, so repeated calls on one thread settle into a
 /// zero-allocation steady state.
 pub fn encode_chunked_into(symbols: &[u32], alphabet_size: usize, chunk: usize, out: &mut Vec<u8>) {
@@ -107,7 +106,6 @@ fn encode_chunked_with_pool(
     }
     pool.enc.rebuild_from_freqs(&pool.freqs, &mut pool.scratch);
 
-    out.clear();
     write_uvarint(out, symbols.len() as u64);
     write_uvarint(out, chunk as u64);
     pool.enc.write_table(out);
@@ -123,6 +121,7 @@ fn encode_chunked_with_pool(
     par_chunks_mut(payloads, 1, |k, slot| {
         let lo = k * chunk;
         let hi = (lo + chunk).min(symbols.len());
+        slot[0].clear();
         let mut w = BitWriter::from_vec(std::mem::take(&mut slot[0]));
         enc.encode_all(&mut w, &symbols[lo..hi]);
         slot[0] = w.finish();
@@ -365,9 +364,10 @@ mod tests {
     fn into_variants_bit_identical_with_dirty_buffers() {
         let syms = sample(9000, 64, 11);
         let enc = encode_chunked(&syms, 64, 1024);
-        let mut out = vec![0xAAu8; 17]; // dirty, wrong-sized target
+        let mut out = vec![0xAAu8; 17]; // existing bytes stay, stream appends
         encode_chunked_into(&syms, 64, 1024, &mut out);
-        assert_eq!(enc, out);
+        assert_eq!(&out[..17], &[0xAA; 17]);
+        assert_eq!(enc, &out[17..]);
         let mut dec = vec![7u32; 3];
         decode_chunked_into(&enc, &mut dec).unwrap();
         assert_eq!(dec, syms);

@@ -18,6 +18,20 @@ pub fn write_uvarint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Appends a `uvarint(len)`-prefixed payload to `out`: `emit` writes the
+/// payload straight onto the end of `out`, then the length prefix is
+/// inserted in front of it with one in-place rotation — no scratch buffer,
+/// and no allocation when `out` has a spare varint's worth of capacity.
+pub fn write_len_prefixed<R>(out: &mut Vec<u8>, emit: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let start = out.len();
+    let r = emit(out);
+    let end = out.len();
+    write_uvarint(out, (end - start) as u64);
+    let prefix_len = out.len() - end;
+    out[start..].rotate_right(prefix_len);
+    r
+}
+
 /// Reads an unsigned LEB128 varint, advancing `pos`.
 pub fn read_uvarint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
@@ -73,6 +87,24 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_uvarint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn len_prefixed_matches_prefix_then_payload() {
+        for len in [0usize, 1, 127, 128, 20_000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
+            let mut want = vec![9, 8, 7];
+            write_uvarint(&mut want, len as u64);
+            want.extend_from_slice(&payload);
+
+            let mut got = vec![9, 8, 7];
+            let r = write_len_prefixed(&mut got, |out| {
+                out.extend_from_slice(&payload);
+                len
+            });
+            assert_eq!(r, len);
+            assert_eq!(got, want);
         }
     }
 

@@ -7,10 +7,12 @@
 //! varying sign/exponent fields, ratio ≈ 1 on noisy mantissas, very fast
 //! (single streaming pass, no entropy coding).
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::bitpack::{pack, required_width, unpack};
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::varint::{read_uvarint, write_len_prefixed};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
@@ -37,54 +39,61 @@ impl Compressor for Bitcomp {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
+    fn compress_raw_into(
         &self,
         data: &[f64],
         _bound: ErrorBound,
         stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let n = data.len();
         let nbytes = (n * 8) as u64;
-        let mut out = stream_header(BITCOMP_ID, n);
+        stream_header_into(BITCOMP_ID, n, out);
 
-        let payload = stream.launch(
-            &KernelSpec::streaming("bitcomp::xor_pack", nbytes, nbytes)
-                .with_pattern(MemoryPattern::Streaming)
-                .with_flops(n as u64),
-            || {
-                let mut w = BitWriter::with_capacity(n * 8);
-                let mut prev = 0u64;
-                let mut residuals = [0u64; BLOCK];
-                for chunk in data.chunks(BLOCK) {
-                    for (i, &v) in chunk.iter().enumerate() {
-                        let bits = v.to_bits();
-                        residuals[i] = bits ^ prev;
-                        prev = bits;
-                    }
-                    let res = &residuals[..chunk.len()];
-                    // 64-bit residuals exceed the 57-bit packer: split each
-                    // into a 32-bit low and up-to-32-bit high half at the
-                    // block's required widths.
-                    let width = required_width(res);
-                    w.write_bits(width as u64, 7);
-                    if width <= 57 {
-                        pack(res, width, &mut w);
-                    } else {
-                        for &r in res {
-                            w.write_bits(r & 0xFFFF_FFFF, 32);
-                            w.write_bits(r >> 32, 32);
+        write_len_prefixed(out, |out| {
+            stream.launch(
+                &KernelSpec::streaming("bitcomp::xor_pack", nbytes, nbytes)
+                    .with_pattern(MemoryPattern::Streaming)
+                    .with_flops(n as u64),
+                || {
+                    out.reserve(n * 8);
+                    let mut w = BitWriter::from_vec(std::mem::take(out));
+                    let mut prev = 0u64;
+                    let mut residuals = [0u64; BLOCK];
+                    for chunk in data.chunks(BLOCK) {
+                        for (i, &v) in chunk.iter().enumerate() {
+                            let bits = v.to_bits();
+                            residuals[i] = bits ^ prev;
+                            prev = bits;
+                        }
+                        let res = &residuals[..chunk.len()];
+                        // 64-bit residuals exceed the 57-bit packer: split each
+                        // into a 32-bit low and up-to-32-bit high half at the
+                        // block's required widths.
+                        let width = required_width(res);
+                        w.write_bits(width as u64, 7);
+                        if width <= 57 {
+                            pack(res, width, &mut w);
+                        } else {
+                            for &r in res {
+                                w.write_bits(r & 0xFFFF_FFFF, 32);
+                                w.write_bits(r >> 32, 32);
+                            }
                         }
                     }
-                }
-                w.finish()
-            },
-        );
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        Ok(out)
+                    *out = w.finish();
+                },
+            )
+        });
+        Ok(())
     }
 
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+    fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        stream: &Stream,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let (n, mut pos) = read_stream_header(bytes, BITCOMP_ID)?;
         let payload_len = read_uvarint(bytes, &mut pos)? as usize;
         if bytes.len() < pos + payload_len {
@@ -92,13 +101,14 @@ impl Compressor for Bitcomp {
         }
         let payload = &bytes[pos..pos + payload_len];
 
-        let out = stream.launch(
+        stream.launch(
             &KernelSpec::streaming("bitcomp::unpack_xor", payload_len as u64, (n * 8) as u64)
                 .with_pattern(MemoryPattern::Streaming)
                 .with_flops(n as u64),
             || {
                 let mut r = BitReader::new(payload);
-                let mut out = Vec::with_capacity(n);
+                out.clear();
+                out.reserve(n);
                 let mut prev = 0u64;
                 let mut remaining = n;
                 while remaining > 0 {
@@ -122,10 +132,9 @@ impl Compressor for Bitcomp {
                     }
                     remaining -= len;
                 }
-                Ok(out)
+                Ok(())
             },
-        )?;
-        Ok(out)
+        )
     }
 }
 

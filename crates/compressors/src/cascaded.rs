@@ -7,7 +7,9 @@
 //! every stage whiffs, so the stream carries a raw-fallback flag — exactly
 //! the behaviour the paper reports for Cascaded on tensors.
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::bitpack::{pack, required_width, unpack};
 use codec_kit::varint::{read_uvarint, write_uvarint};
@@ -127,14 +129,15 @@ impl Compressor for Cascaded {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
+    fn compress_raw_into(
         &self,
         data: &[f64],
         _bound: ErrorBound,
         stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let words: Vec<u64> = data.iter().map(|v| v.to_bits()).collect();
-        let mut out = stream_header(CASCADED_ID, data.len());
+        stream_header_into(CASCADED_ID, data.len(), out);
         let nbytes = (words.len() * 8) as u64;
         let encoded = stream.launch(
             &KernelSpec::streaming("cascaded::rle_delta_pack", 2 * nbytes, nbytes / 2)
@@ -145,7 +148,7 @@ impl Compressor for Cascaded {
         match encoded {
             Some(payload) => {
                 out.push(1); // cascaded payload
-                write_uvarint(&mut out, payload.len() as u64);
+                write_uvarint(out, payload.len() as u64);
                 out.extend_from_slice(&payload);
             }
             None => {
@@ -159,10 +162,15 @@ impl Compressor for Cascaded {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+    fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        stream: &Stream,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let (n, mut pos) = read_stream_header(bytes, CASCADED_ID)?;
         let mode = *bytes.get(pos).ok_or(CodecError::UnexpectedEof)?;
         pos += 1;
@@ -202,7 +210,9 @@ impl Compressor for Cascaded {
             }
             _ => return Err(CodecError::Corrupt("bad cascaded mode byte")),
         };
-        Ok(words.into_iter().map(f64::from_bits).collect())
+        out.clear();
+        out.extend(words.into_iter().map(f64::from_bits));
+        Ok(())
     }
 }
 

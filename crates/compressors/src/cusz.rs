@@ -22,7 +22,9 @@ use crate::traits::{
     read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
 };
 use codec_kit::chunked::{decode_chunked_into_slice, encode_chunked_into, DEFAULT_CHUNK};
-use codec_kit::varint::{read_ivarint, read_uvarint, write_ivarint, write_uvarint};
+use codec_kit::varint::{
+    read_ivarint, read_uvarint, write_ivarint, write_len_prefixed, write_uvarint,
+};
 use codec_kit::CodecError;
 use gpu_model::exec::par_map_chunks_mut;
 use gpu_model::{with_arena_phase, KernelSpec, MemoryPattern, Stream};
@@ -204,17 +206,6 @@ impl Compressor for CuSz {
         CompressorKind::ErrorBounded
     }
 
-    fn compress_raw(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.compress_raw_into(data, bound, stream, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_raw_into(
         &self,
         data: &[f64],
@@ -230,7 +221,6 @@ impl Compressor for CuSz {
         let twoeb = 2.0 * eb;
         let n = data.len();
         let nbytes = (n * 8) as u64;
-        let ws = crate::workspace();
 
         // The symbol buffer lives in the caller thread's bump arena for the
         // duration of this compression phase; the phase release reclaims it
@@ -267,15 +257,13 @@ impl Compressor for CuSz {
             // Kernel 4: Huffman emission — the bit-serial stage that
             // dominates. Chunked with a gap array, as real cuSZ lays it out
             // for block-parallel decode (the codebook build above feeds it).
-            let mut payload = ws.take_u8_spare(n / 2 + 64);
-            stream.launch(
-                &KernelSpec::streaming("cusz::huffman_encode", (n * 2) as u64, n as u64 / 2)
-                    .with_pattern(MemoryPattern::BitSerial),
-                || encode_chunked_into(symbols, alphabet, DEFAULT_CHUNK, &mut payload),
-            );
-            write_uvarint(out, payload.len() as u64);
-            out.extend_from_slice(&payload);
-            ws.put_u8(payload);
+            write_len_prefixed(out, |out| {
+                stream.launch(
+                    &KernelSpec::streaming("cusz::huffman_encode", (n * 2) as u64, n as u64 / 2)
+                        .with_pattern(MemoryPattern::BitSerial),
+                    || encode_chunked_into(symbols, alphabet, DEFAULT_CHUNK, out),
+                )
+            });
 
             // Outliers: gather kernel (sparse, Random).
             stream.launch(
@@ -292,12 +280,6 @@ impl Compressor for CuSz {
             }
             Ok(())
         })
-    }
-
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_raw_into(bytes, stream, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_raw_into(

@@ -17,7 +17,7 @@ use crate::traits::{
 };
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::bitpack::unpack;
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::varint::{read_uvarint, write_len_prefixed, write_uvarint};
 use codec_kit::varint::{unzigzag, zigzag};
 use codec_kit::CodecError;
 use gpu_model::exec::{par_map_blocks, serial_for_blocks, worker_count};
@@ -65,17 +65,6 @@ impl Compressor for CuSzx {
         CompressorKind::ErrorBounded
     }
 
-    fn compress_raw(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.compress_raw_into(data, bound, stream, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_raw_into(
         &self,
         data: &[f64],
@@ -91,7 +80,6 @@ impl Compressor for CuSzx {
         let n = data.len();
         let bs = self.block_size;
         let nbytes = (n * 8) as u64;
-        let ws = crate::workspace();
 
         stream_header_into(CUSZX_ID, n, out);
         out.extend_from_slice(&eb.to_le_bytes());
@@ -103,55 +91,48 @@ impl Compressor for CuSzx {
         // private writer in parallel; blocks are not byte-aligned in the
         // stream, so the writers concatenate at bit granularity
         // (`BitWriter::append`), reproducing the serial stream exactly.
-        // The concatenation writer emits into a pooled buffer.
-        let payload = stream.launch(
-            &KernelSpec::streaming("szx::fused_block_encode", 2 * nbytes, nbytes / 3)
-                .with_pattern(MemoryPattern::Strided)
-                .with_flops((n * 3) as u64),
-            || {
-                let twoeb = 2.0 * eb;
-                if worker_count() == 1 {
-                    // Serial fast path: every block encodes straight into
-                    // the pooled output writer, with one arena-backed code
-                    // scratch reused across blocks — zero heap allocation
-                    // on the warm path. `BitWriter::append` is bit-exact,
-                    // so this emits the same stream as the parallel path,
-                    // and `serial_for_blocks` keeps the per-block fault
-                    // point and panic accounting of the executor.
-                    return with_arena_phase(|arena| {
-                        let scratch = arena.alloc_u64(bs.min(n));
-                        let mut w = BitWriter::from_vec(ws.take_u8_spare(n));
-                        let mut blocks = data.chunks(bs);
-                        serial_for_blocks(n.div_ceil(bs), |_| {
-                            let block = blocks.next().expect("block count matches chunks");
-                            encode_block(block, eb, twoeb, scratch, &mut w);
+        // The concatenation writer emits straight onto the end of `out`.
+        write_len_prefixed(out, |out| {
+            stream.launch(
+                &KernelSpec::streaming("szx::fused_block_encode", 2 * nbytes, nbytes / 3)
+                    .with_pattern(MemoryPattern::Strided)
+                    .with_flops((n * 3) as u64),
+                || {
+                    let twoeb = 2.0 * eb;
+                    let mut w = BitWriter::from_vec(std::mem::take(out));
+                    if worker_count() == 1 {
+                        // Serial fast path: every block encodes straight
+                        // into the output writer, with one arena-backed code
+                        // scratch reused across blocks — zero heap
+                        // allocation on the warm path. `BitWriter::append`
+                        // is bit-exact, so this emits the same stream as the
+                        // parallel path, and `serial_for_blocks` keeps the
+                        // per-block fault point and panic accounting of the
+                        // executor.
+                        with_arena_phase(|arena| {
+                            let scratch = arena.alloc_u64(bs.min(n));
+                            let mut blocks = data.chunks(bs);
+                            serial_for_blocks(n.div_ceil(bs), |_| {
+                                let block = blocks.next().expect("block count matches chunks");
+                                encode_block(block, eb, twoeb, scratch, &mut w);
+                            });
                         });
-                        w.finish()
-                    });
-                }
-                let parts = par_map_blocks(data, bs, |_, block| {
-                    let mut scratch = vec![0u64; block.len()];
-                    let mut w = BitWriter::with_capacity(block.len());
-                    encode_block(block, eb, twoeb, &mut scratch, &mut w);
-                    w
-                });
-                let mut w = BitWriter::from_vec(ws.take_u8_spare(n));
-                for part in &parts {
-                    w.append(part);
-                }
-                w.finish()
-            },
-        );
-        write_uvarint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        ws.put_u8(payload);
+                    } else {
+                        let parts = par_map_blocks(data, bs, |_, block| {
+                            let mut scratch = vec![0u64; block.len()];
+                            let mut w = BitWriter::with_capacity(block.len());
+                            encode_block(block, eb, twoeb, &mut scratch, &mut w);
+                            w
+                        });
+                        for part in &parts {
+                            w.append(part);
+                        }
+                    }
+                    *out = w.finish();
+                },
+            )
+        });
         Ok(())
-    }
-
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_raw_into(bytes, stream, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_raw_into(

@@ -13,7 +13,7 @@ use crate::traits::{
     read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
 };
 use codec_kit::bitio::{BitReader, BitWriter};
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::varint::{read_uvarint, write_len_prefixed};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
@@ -50,17 +50,6 @@ impl Compressor for CuZfp {
         CompressorKind::ErrorBounded
     }
 
-    fn compress_raw(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.compress_raw_into(data, bound, stream, &mut out)?;
-        Ok(out)
-    }
-
     fn compress_raw_into(
         &self,
         data: &[f64],
@@ -75,35 +64,27 @@ impl Compressor for CuZfp {
         }
         let n = data.len();
         let e_tol = eb.log2().floor() as i32;
-        let ws = crate::workspace();
 
         stream_header_into(CUZFP_ID, n, out);
         out.extend_from_slice(&eb.to_le_bytes());
 
-        let payload = stream.launch(
-            &KernelSpec::streaming("zfp::block_encode", (n * 8) as u64, (n * 3) as u64)
-                .with_pattern(MemoryPattern::Strided)
-                .with_flops((n * 12) as u64),
-            || {
-                let mut w = BitWriter::from_vec(ws.take_u8_spare(n * 3));
-                for chunk in data.chunks(BLOCK) {
-                    let mut block = [0.0f64; BLOCK];
-                    block[..chunk.len()].copy_from_slice(chunk);
-                    encode_block(&block, e_tol, &mut w);
-                }
-                w.finish()
-            },
-        );
-        write_uvarint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        ws.put_u8(payload);
+        write_len_prefixed(out, |out| {
+            stream.launch(
+                &KernelSpec::streaming("zfp::block_encode", (n * 8) as u64, (n * 3) as u64)
+                    .with_pattern(MemoryPattern::Strided)
+                    .with_flops((n * 12) as u64),
+                || {
+                    let mut w = BitWriter::from_vec(std::mem::take(out));
+                    for chunk in data.chunks(BLOCK) {
+                        let mut block = [0.0f64; BLOCK];
+                        block[..chunk.len()].copy_from_slice(chunk);
+                        encode_block(&block, e_tol, &mut w);
+                    }
+                    *out = w.finish();
+                },
+            )
+        });
         Ok(())
-    }
-
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_raw_into(bytes, stream, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_raw_into(

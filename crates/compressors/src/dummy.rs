@@ -29,17 +29,6 @@ impl Compressor for Memcpy {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.compress_raw_into(data, bound, stream, &mut out)?;
-        Ok(out)
-    }
-
     /// Writes directly into `out` — with warm capacity this path performs
     /// zero heap allocations, which is what makes the compressed-state
     /// apply loop's steady state allocation-free under a lossless codec.
@@ -62,12 +51,6 @@ impl Compressor for Memcpy {
             },
         );
         Ok(())
-    }
-
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
-        let mut out = Vec::new();
-        self.decompress_raw_into(bytes, stream, &mut out)?;
-        Ok(out)
     }
 
     fn decompress_raw_into(

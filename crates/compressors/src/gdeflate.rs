@@ -8,7 +8,9 @@
 //! deviates from RFC1951 framing (for GPU-parallel decode), so fidelity here
 //! is to the compressor *class*: highest lossless ratio, lowest throughput.
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::huffman::{HuffmanDecoder, HuffmanEncoder};
 use codec_kit::lz77::{find_matches, LzConfig, LzToken};
@@ -254,14 +256,15 @@ impl Compressor for GDeflate {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
+    fn compress_raw_into(
         &self,
         data: &[f64],
         _bound: ErrorBound,
         stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut out = stream_header(GDEFLATE_ID, data.len());
+        stream_header_into(GDEFLATE_ID, data.len(), out);
 
         // Charge the three kernel stages of a GPU deflate, then run the
         // byte codec (the host computation happens once, in the last one).
@@ -290,10 +293,15 @@ impl Compressor for GDeflate {
             || deflate_bytes(&bytes),
         );
         out.extend_from_slice(&payload);
-        Ok(out)
+        Ok(())
     }
 
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+    fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        stream: &Stream,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let (n, mut pos) = read_stream_header(bytes, GDEFLATE_ID)?;
         let expected = n * 8;
         let raw = stream.launch(
@@ -305,10 +313,12 @@ impl Compressor for GDeflate {
             .with_pattern(MemoryPattern::BitSerial),
             || inflate_bytes(bytes, &mut pos, expected),
         )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        out.clear();
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        );
+        Ok(())
     }
 }
 

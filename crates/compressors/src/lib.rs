@@ -21,7 +21,6 @@
 pub mod bitcomp;
 pub mod cascaded;
 pub mod cusz;
-pub mod cusz2d;
 pub mod cuszx;
 pub mod cuzfp;
 pub mod dummy;
@@ -35,13 +34,3 @@ pub mod traits;
 pub use metrics::{quality, round_trip, QualityMetrics, RoundTripReport};
 pub use registry::{all_compressors, by_name, decompress_any, decompress_any_into};
 pub use traits::{Compressor, CompressorKind, ErrorBound};
-
-/// The crate-wide scratch [`Workspace`](gpu_model::Workspace) backing the
-/// `*_into` fast paths: payload and symbol buffers that would otherwise be
-/// allocated per call are checked out here and returned after use, so every
-/// compressor (and the framework built on them) amortizes one set of
-/// grown-once buffers.
-pub fn workspace() -> &'static gpu_model::Workspace {
-    static WS: std::sync::OnceLock<gpu_model::Workspace> = std::sync::OnceLock::new();
-    WS.get_or_init(gpu_model::Workspace::new)
-}

@@ -7,9 +7,11 @@
 //! tensors — is a property of byte-granular matching that this
 //! implementation reproduces exactly.
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::lz77::{find_matches, LzConfig, LzToken};
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::varint::{read_uvarint, write_len_prefixed};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
@@ -169,35 +171,40 @@ impl Compressor for Lz4 {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
+    fn compress_raw_into(
         &self,
         data: &[f64],
         _bound: ErrorBound,
         stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut out = stream_header(LZ4_ID, data.len());
-        let payload = stream.launch(
-            // Hash-table probing is data-dependent gather: Random pattern,
-            // ~3 touched bytes per input byte.
-            &KernelSpec::streaming(
-                "lz4::match_and_emit",
-                (bytes.len() * 3) as u64,
-                bytes.len() as u64,
+        stream_header_into(LZ4_ID, data.len(), out);
+        write_len_prefixed(out, |out| {
+            stream.launch(
+                // Hash-table probing is data-dependent gather: Random
+                // pattern, ~3 touched bytes per input byte.
+                &KernelSpec::streaming(
+                    "lz4::match_and_emit",
+                    (bytes.len() * 3) as u64,
+                    bytes.len() as u64,
+                )
+                .with_pattern(MemoryPattern::Random),
+                || {
+                    out.reserve(bytes.len() / 2 + 64);
+                    lz4_encode_block(&bytes, out);
+                },
             )
-            .with_pattern(MemoryPattern::Random),
-            || {
-                let mut payload = Vec::with_capacity(bytes.len() / 2 + 64);
-                lz4_encode_block(&bytes, &mut payload);
-                payload
-            },
-        );
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        Ok(out)
+        });
+        Ok(())
     }
 
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+    fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        stream: &Stream,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let (n, mut pos) = read_stream_header(bytes, LZ4_ID)?;
         let payload_len = read_uvarint(bytes, &mut pos)? as usize;
         if bytes.len() < pos + payload_len {
@@ -208,10 +215,12 @@ impl Compressor for Lz4 {
                 .with_pattern(MemoryPattern::Strided),
             || lz4_decode_block(&bytes[pos..pos + payload_len], n * 8),
         )?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        out.clear();
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        );
+        Ok(())
     }
 }
 

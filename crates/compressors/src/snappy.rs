@@ -6,9 +6,11 @@
 //! tag-01 copies when the offset and length allow (Snappy's cheapest copy),
 //! falling back to tag-10.
 
-use crate::traits::{read_stream_header, stream_header, Compressor, CompressorKind, ErrorBound};
+use crate::traits::{
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
+};
 use codec_kit::lz77::{find_matches, LzConfig, LzToken};
-use codec_kit::varint::{read_uvarint, write_uvarint};
+use codec_kit::varint::{read_uvarint, write_len_prefixed, write_uvarint};
 use codec_kit::CodecError;
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 
@@ -63,10 +65,10 @@ fn emit_copy(out: &mut Vec<u8>, mut len: usize, dist: usize) {
     }
 }
 
-/// Encodes `data` in Snappy raw format.
-pub(crate) fn snappy_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    write_uvarint(&mut out, data.len() as u64);
+/// Encodes `data` in Snappy raw format, appending to `out`.
+pub(crate) fn snappy_encode(data: &[u8], out: &mut Vec<u8>) {
+    out.reserve(data.len() / 2 + 16);
+    write_uvarint(out, data.len() as u64);
     let cfg = LzConfig {
         min_match: 4,
         max_match: 1 << 20,
@@ -75,11 +77,10 @@ pub(crate) fn snappy_encode(data: &[u8]) -> Vec<u8> {
     };
     for token in find_matches(data, &cfg) {
         match token {
-            LzToken::Literal { start, len } => emit_literal(&mut out, &data[start..start + len]),
-            LzToken::Match { len, dist } => emit_copy(&mut out, len, dist),
+            LzToken::Literal { start, len } => emit_literal(out, &data[start..start + len]),
+            LzToken::Match { len, dist } => emit_copy(out, len, dist),
         }
     }
-    out
 }
 
 /// Decodes a Snappy raw stream.
@@ -189,29 +190,35 @@ impl Compressor for Snappy {
         CompressorKind::Lossless
     }
 
-    fn compress_raw(
+    fn compress_raw_into(
         &self,
         data: &[f64],
         _bound: ErrorBound,
         stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError> {
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let mut out = stream_header(SNAPPY_ID, data.len());
-        let payload = stream.launch(
-            &KernelSpec::streaming(
-                "snappy::match_and_emit",
-                (bytes.len() * 3) as u64,
-                bytes.len() as u64,
+        stream_header_into(SNAPPY_ID, data.len(), out);
+        write_len_prefixed(out, |out| {
+            stream.launch(
+                &KernelSpec::streaming(
+                    "snappy::match_and_emit",
+                    (bytes.len() * 3) as u64,
+                    bytes.len() as u64,
+                )
+                .with_pattern(MemoryPattern::Random),
+                || snappy_encode(&bytes, out),
             )
-            .with_pattern(MemoryPattern::Random),
-            || snappy_encode(&bytes),
-        );
-        write_uvarint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        Ok(out)
+        });
+        Ok(())
     }
 
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+    fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        stream: &Stream,
+        out: &mut Vec<f64>,
+    ) -> Result<(), CodecError> {
         let (n, mut pos) = read_stream_header(bytes, SNAPPY_ID)?;
         let payload_len = read_uvarint(bytes, &mut pos)? as usize;
         if bytes.len() < pos + payload_len {
@@ -225,10 +232,12 @@ impl Compressor for Snappy {
         if raw.len() != n * 8 {
             return Err(CodecError::Corrupt("snappy payload length mismatch"));
         }
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        out.clear();
+        out.extend(
+            raw.chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
+        );
+        Ok(())
     }
 }
 
@@ -243,7 +252,8 @@ mod tests {
     }
 
     fn roundtrip_bytes(data: &[u8]) -> usize {
-        let enc = snappy_encode(data);
+        let mut enc = Vec::new();
+        snappy_encode(data, &mut enc);
         assert_eq!(snappy_decode(&enc).unwrap(), data, "byte roundtrip failed");
         enc.len()
     }

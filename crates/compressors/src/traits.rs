@@ -6,8 +6,8 @@
 //! Streams are self-describing: a one-byte compressor id, then the
 //! compressor's own header, so decompression can be dispatched blindly.
 //!
-//! Codecs implement the `*_raw` methods, which speak the bare v1 stream
-//! format. The public [`Compressor::compress`]/[`Compressor::decompress`]
+//! Codecs implement `compress_raw_into`/`decompress_raw_into`, which speak
+//! the bare v1 stream format; the allocating `*_raw` forms are provided. The public [`Compressor::compress`]/[`Compressor::decompress`]
 //! family wraps every stream in a checksummed v2 integrity frame
 //! ([`codec_kit::frame`]) and verifies it on the way back in — legacy
 //! (unframed) v1 streams still decode unchanged.
@@ -67,51 +67,45 @@ pub trait Compressor: Send + Sync {
     /// Lossless or error-bounded.
     fn kind(&self) -> CompressorKind;
 
-    /// Encodes the bare (v1, unframed) stream — what codecs implement.
-    fn compress_raw(
-        &self,
-        data: &[f64],
-        bound: ErrorBound,
-        stream: &Stream,
-    ) -> Result<Vec<u8>, CodecError>;
-
-    /// Decodes a bare v1 stream produced by [`Compressor::compress_raw`].
-    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError>;
-
-    /// Like [`Compressor::compress_raw`], but writes into a caller-provided
-    /// buffer (cleared first, capacity reused). The bytes produced are
-    /// **bit-identical** to `compress_raw` — the property tests enforce it.
-    ///
-    /// The default routes through `compress_raw` and copies; hot
-    /// compressors override it with genuinely allocation-reusing encoders.
-    /// On error the buffer contents are unspecified but valid.
+    /// Encodes the bare (v1, unframed) stream into `out` (cleared first,
+    /// capacity reused) — the one encode body each codec implements. On
+    /// error the buffer contents are unspecified but valid.
     fn compress_raw_into(
         &self,
         data: &[f64],
         bound: ErrorBound,
         stream: &Stream,
         out: &mut Vec<u8>,
-    ) -> Result<(), CodecError> {
-        let bytes = self.compress_raw(data, bound, stream)?;
-        out.clear();
-        out.extend_from_slice(&bytes);
-        Ok(())
-    }
+    ) -> Result<(), CodecError>;
 
-    /// Like [`Compressor::decompress_raw`], but writes into a
-    /// caller-provided buffer (cleared first, capacity reused). Values
-    /// produced are bit-identical to `decompress_raw`. On error the buffer
-    /// contents are unspecified but valid.
+    /// Decodes a bare v1 stream produced by
+    /// [`Compressor::compress_raw_into`] into `out` (cleared first,
+    /// capacity reused) — the one decode body each codec implements. On
+    /// error the buffer contents are unspecified but valid.
     fn decompress_raw_into(
         &self,
         bytes: &[u8],
         stream: &Stream,
         out: &mut Vec<f64>,
-    ) -> Result<(), CodecError> {
-        let values = self.decompress_raw(bytes, stream)?;
-        out.clear();
-        out.extend_from_slice(&values);
-        Ok(())
+    ) -> Result<(), CodecError>;
+
+    /// [`Compressor::compress_raw_into`] into a fresh buffer.
+    fn compress_raw(
+        &self,
+        data: &[f64],
+        bound: ErrorBound,
+        stream: &Stream,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.compress_raw_into(data, bound, stream, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Compressor::decompress_raw_into`] into a fresh buffer.
+    fn decompress_raw(&self, bytes: &[u8], stream: &Stream) -> Result<Vec<f64>, CodecError> {
+        let mut out = Vec::new();
+        self.decompress_raw_into(bytes, stream, &mut out)?;
+        Ok(out)
     }
 
     /// Compresses `data` under `bound` into a checksummed v2 integrity
@@ -167,15 +161,8 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// Writes the common stream prologue (id + element count); returns the buffer.
-pub fn stream_header(id: u8, n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    stream_header_into(id, n, &mut out);
-    out
-}
-
-/// [`stream_header`] into a caller-provided buffer (cleared first, capacity
-/// reused) — the `*_into` encoders start their streams with this.
+/// Writes the common stream prologue (id + element count) into `out`,
+/// cleared first — every encoder starts its stream with this.
 pub fn stream_header_into(id: u8, n: usize, out: &mut Vec<u8>) {
     out.clear();
     out.push(id);
@@ -250,7 +237,8 @@ mod tests {
 
     #[test]
     fn header_roundtrip() {
-        let mut h = stream_header(7, 123_456);
+        let mut h = Vec::new();
+        stream_header_into(7, 123_456, &mut h);
         let hdr_len = h.len();
         // The bomb guard requires payload bytes proportional to the declared
         // count; a bare header with a six-figure n is treated as forged.
@@ -262,7 +250,8 @@ mod tests {
 
     #[test]
     fn header_id_mismatch() {
-        let h = stream_header(7, 10);
+        let mut h = Vec::new();
+        stream_header_into(7, 10, &mut h);
         assert!(read_stream_header(&h, 8).is_err());
         assert!(read_stream_header(&[], 7).is_err());
     }

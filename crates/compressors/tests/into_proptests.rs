@@ -2,6 +2,10 @@
 //! `*_into` entry points must be bit-identical to their allocating
 //! counterparts — even when the caller's output buffer arrives dirty and
 //! oversized from a previous, unrelated call.
+//!
+//! Stream stability: the framed bytes of every registry codec and both QCF
+//! modes on fixed inputs must match digests recorded from an earlier
+//! revision, so a refactor of any encoder cannot silently change a format.
 
 use compressors::registry::{all_compressors, decompress_any, decompress_any_into};
 use compressors::ErrorBound;
@@ -73,4 +77,100 @@ proptest! {
             );
         }
     }
+}
+
+/// Three fixed inputs covering the codecs' main regimes: a smooth wave long
+/// enough to span several Huffman chunks, a QAOA-like small alphabet with
+/// runs of zeros, and wide-range pseudo-random values (LCG, no RNG crate).
+fn golden_inputs() -> [(&'static str, Vec<f64>); 3] {
+    let wave = (0..10_000)
+        .map(|i| (i as f64 * 0.013).sin() * 0.4)
+        .collect();
+    let alphabet = [0.0, 0.5, -0.5, 0.353_553_390_593_273_8, -0.25, 0.125];
+    let sparse = (0..4_096usize)
+        .map(|i| {
+            if i % 7 < 3 {
+                0.0
+            } else {
+                alphabet[(i * 5 + i / 64) % 6]
+            }
+        })
+        .collect();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let noise = (0..1_000)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e3
+        })
+        .collect();
+    [("wave", wave), ("sparse", sparse), ("noise", noise)]
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `(codec, input, framed length, fnv1a64)` of `compress(input, Abs(1e-4))`.
+/// The streams are a persisted format (checkpoints, spill logs), so any
+/// change here must be a deliberate format change.
+const GOLDEN: &[(&str, &str, usize, u64)] = &[
+    ("cuSZ", "wave", 7060, 0xceec44681fea4d37),
+    ("cuSZ", "sparse", 7872, 0xfae7acc0a11efef2),
+    ("cuSZ", "noise", 4940, 0xd87d24a964468f6d),
+    ("cuSZx", "wave", 15271, 0x086d6993d6a61c31),
+    ("cuSZx", "sparse", 6965, 0xf23e6a6427af6e4e),
+    ("cuSZx", "noise", 3096, 0x010445033e691b05),
+    ("cuZFP", "wave", 31278, 0xb9bc85dc4fadfd19),
+    ("cuZFP", "sparse", 12745, 0x6b757162168ffa25),
+    ("cuZFP", "noise", 4610, 0xfa8043a66bc5d785),
+    ("LZ4", "wave", 80290, 0x6bfb37f8636564cd),
+    ("LZ4", "sparse", 353, 0x4f9acde37517ea03),
+    ("LZ4", "noise", 8048, 0xe3cb7f78e17a6f8d),
+    ("Snappy", "wave", 80088, 0x888e0c4f730fd6db),
+    ("Snappy", "sparse", 1662, 0xa02c0c056171f591),
+    ("Snappy", "noise", 8020, 0xa48a22092f56e490),
+    ("GDeflate", "wave", 76153, 0xbc4c7f3442d41ef7),
+    ("GDeflate", "sparse", 575, 0xf4cc977ad4411140),
+    ("GDeflate", "noise", 7873, 0xa1f5b786d9391606),
+    ("Cascaded", "wave", 80014, 0xb8ae58ef593183fe),
+    ("Cascaded", "sparse", 22951, 0xa8518a2ce0de0aaa),
+    ("Cascaded", "noise", 8014, 0xd0e75eae42faa95c),
+    ("Bitcomp", "wave", 74090, 0xfc25ace923056930),
+    ("Bitcomp", "sparse", 32812, 0x3f775568f1132e01),
+    ("Bitcomp", "noise", 8022, 0x09911d4ca09e057f),
+    ("memcpy", "wave", 80013, 0x51c18164f38ccbb1),
+    ("memcpy", "sparse", 32781, 0x1e9f3d83b0fe2f9a),
+    ("memcpy", "noise", 8013, 0x6049c3f93a19275e),
+    ("QCF-ratio", "wave", 21668, 0xa2b9ab041cbccd5a),
+    ("QCF-ratio", "sparse", 309, 0xb7e6c4a9f58fabcc),
+    ("QCF-ratio", "noise", 5270, 0x7164e11125d75c3e),
+    ("QCF-speed", "wave", 22910, 0xd9efeb2b7d5771e5),
+    ("QCF-speed", "sparse", 1315, 0x22f2d8872a3f2a28),
+    ("QCF-speed", "noise", 4956, 0xa5810e341f18205f),
+];
+
+#[test]
+fn framed_streams_match_golden_digests() {
+    let s = stream();
+    let mut codecs = all_compressors();
+    codecs.push(Box::new(qcf_core::QcfCompressor::ratio()));
+    codecs.push(Box::new(qcf_core::QcfCompressor::speed()));
+    let mut got = Vec::new();
+    for comp in &codecs {
+        for (input, data) in golden_inputs() {
+            let bytes = comp.compress(&data, ErrorBound::Abs(1e-4), &s).unwrap();
+            got.push((comp.name(), input, bytes.len(), fnv1a64(&bytes)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(c, i, len, h)| format!("    ({c:?}, {i:?}, {len}, {h:#018x}),\n"))
+        .collect();
+    assert!(
+        got == GOLDEN,
+        "framed streams differ from the golden digests; actual table:\n{table}"
+    );
 }

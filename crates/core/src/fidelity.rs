@@ -97,15 +97,6 @@ pub fn calibrate(
     Ok(p.abs_energy_error / (p.eps * (p.tensors.max(1) as f64).sqrt()))
 }
 
-/// Suggests the largest tensor-level bound expected to keep *relative*
-/// energy error below `target_rel` on an instance with exact energy
-/// `energy` and roughly `tensors` compressed intermediates, given a
-/// calibrated `c`. A 2× safety margin backs off the first-order estimate.
-pub fn suggest_bound(c: f64, tensors: usize, energy: f64, target_rel: f64) -> f64 {
-    let budget = target_rel * energy.abs();
-    budget / (2.0 * c.max(f64::MIN_POSITIVE) * (tensors.max(1) as f64).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,27 +132,6 @@ mod tests {
             (0.1..10.0).contains(&ratio),
             "first-order model off by {ratio:.2}x (pred {predicted}, meas {})",
             probe.abs_energy_error
-        );
-    }
-
-    #[test]
-    fn suggested_bound_meets_target() {
-        let (g, p) = instance();
-        let seeds = [5, 6, 7, 8];
-        let c = calibrate(&g, &p, 1e-5, &seeds).unwrap();
-        let exact = Simulator::default().energy(&g, &p).unwrap().energy;
-        let pilot = measure_noise_impact(&g, &p, 1e-5, &seeds).unwrap();
-        let target = 0.01; // 1% relative
-        let eb = suggest_bound(c, pilot.tensors, exact, target);
-        assert!(eb > 0.0);
-        // Average over several noise realizations: the suggestion is a
-        // first-order statistical bound, not a worst-case one, so a single
-        // unlucky draw can overshoot the target slightly.
-        let check = measure_noise_impact(&g, &p, eb, &[11, 12, 13, 14, 15, 16]).unwrap();
-        assert!(
-            check.rel_energy_error < target,
-            "suggested bound {eb:.2e} gave {:.3}% error",
-            check.rel_energy_error * 100.0
         );
     }
 

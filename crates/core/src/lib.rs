@@ -23,5 +23,5 @@ pub mod framework;
 pub mod stages;
 
 pub use adaptive::{search_bound, AdaptiveResult};
-pub use fidelity::{calibrate, measure_noise_impact, predict_energy_error, suggest_bound};
+pub use fidelity::{calibrate, measure_noise_impact, predict_energy_error};
 pub use framework::{Mode, QcfCompressor, StageToggles, QCF_RATIO_ID, QCF_SPEED_ID};

@@ -122,7 +122,7 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..256),
         dirt in prop::collection::vec(-1e3f64..1e3, 0..128),
     ) {
-        // The workspace-pooled compress_into/decompress_into must reproduce
+        // The buffer-reusing compress_into/decompress_into must reproduce
         // the allocating entry points bit for bit, even into dirty buffers,
         // for every stage combination in both flavours.
         let mode = if ratio_mode { Mode::Ratio } else { Mode::Speed };

@@ -18,7 +18,7 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// When set, `worker_count()` reports 1 regardless of the host — see
@@ -66,6 +66,24 @@ pub fn with_serial_workers<R>(f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(FORCE_SERIAL.swap(true, Ordering::Relaxed));
     f()
+}
+
+/// Most threads any parallel section has run on since the last
+/// [`take_peak_workers`]; 1 when everything ran serially.
+static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(1);
+
+/// Records that a parallel section ran on `n` threads. The executor
+/// helpers call this themselves; callers that spawn their own scoped
+/// threads call it too.
+pub fn note_workers(n: usize) {
+    PEAK_WORKERS.fetch_max(n, Ordering::Relaxed);
+}
+
+/// Returns and resets the most threads any parallel section ran on since
+/// the previous call — how many workers a measured section actually used,
+/// which is what its throughput should be normalized by.
+pub fn take_peak_workers() -> usize {
+    PEAK_WORKERS.swap(1, Ordering::Relaxed)
 }
 
 /// First panic payload captured across worker blocks.
@@ -147,6 +165,7 @@ where
         return;
     }
     // Split the block list over workers; each worker owns a disjoint chunk.
+    note_workers(workers);
     let chunk = blocks.len().div_ceil(workers);
     let body = &body;
     let slot_ref = &slot;
@@ -232,6 +251,7 @@ where
     }
     // Hand each worker a contiguous run of chunks, fully safely: the
     // borrow splitter peels per-worker sub-slices off the front.
+    note_workers(workers);
     let chunks_per_worker = n_blocks.div_ceil(workers);
     let f = &f;
     let slot_ref = &slot;
@@ -314,11 +334,15 @@ unsafe impl<R> Sync for SyncSlice<R> {}
 
 #[cfg(test)]
 mod tests {
+    // Every test here holds the chaos guard: an armed fault plan is
+    // process-global, so a block run by a concurrent test would otherwise
+    // consume the injection meant for the chaos test.
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn covers_every_item_once() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let n = 10_001;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         par_for_blocks(n, 64, |_, range| {
@@ -331,6 +355,7 @@ mod tests {
 
     #[test]
     fn handles_fewer_items_than_blocks() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let count = AtomicUsize::new(0);
         par_for_blocks(3, 16, |_, range| {
             count.fetch_add(range.len(), Ordering::Relaxed);
@@ -340,11 +365,13 @@ mod tests {
 
     #[test]
     fn zero_items_is_a_noop() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         par_for_blocks(0, 8, |_, _| panic!("must not run"));
     }
 
     #[test]
     fn map_blocks_preserves_order() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let data: Vec<u32> = (0..1000).collect();
         let sums = par_map_blocks(&data, 100, |b, chunk| (b, chunk.iter().sum::<u32>()));
         assert_eq!(sums.len(), 10);
@@ -357,6 +384,7 @@ mod tests {
 
     #[test]
     fn map_blocks_empty_input() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let data: [u32; 0] = [];
         let out = par_map_blocks(&data, 8, |_, _| -> usize { panic!("must not run") });
         assert!(out.is_empty());
@@ -364,6 +392,7 @@ mod tests {
 
     #[test]
     fn map_blocks_partial_tail() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let data = [1u32, 2, 3, 4, 5];
         let lens = par_map_blocks(&data, 2, |_, chunk| chunk.len());
         assert_eq!(lens, vec![2, 2, 1]);
@@ -371,6 +400,7 @@ mod tests {
 
     #[test]
     fn chunks_mut_writes_every_chunk_once() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let mut data = vec![0u32; 10_007];
         par_chunks_mut(&mut data, 64, |b, chunk| {
             for v in chunk.iter_mut() {
@@ -384,6 +414,7 @@ mod tests {
 
     #[test]
     fn chunks_mut_handles_empty_and_tiny() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let mut empty: Vec<u8> = vec![];
         par_chunks_mut(&mut empty, 8, |_, _| panic!("must not run"));
         let mut one = [7u8];
@@ -396,6 +427,7 @@ mod tests {
 
     #[test]
     fn map_chunks_mut_writes_and_returns_in_order() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let mut data = vec![1u32; 10_007];
         let sums = par_map_chunks_mut(&mut data, 64, |b, chunk| {
             for v in chunk.iter_mut() {
@@ -415,6 +447,7 @@ mod tests {
 
     #[test]
     fn fill_blocks_sees_absolute_ranges() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let mut out = vec![0usize; 1000];
         par_fill_blocks(&mut out, 96, |_, range, chunk| {
             for (i, v) in range.zip(chunk.iter_mut()) {
@@ -428,6 +461,7 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_for_blocks(1024, 16, |b, _| {
                 if b == 7 {
@@ -440,6 +474,7 @@ mod tests {
 
     #[test]
     fn other_blocks_complete_despite_one_panic() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         // The unwind guard must isolate the poisoned block: all the others
         // run to completion before the panic reaches the caller.
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
@@ -478,6 +513,7 @@ mod tests {
 
     #[test]
     fn nested_invocations_lose_no_blocks() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         // A fixed pool would deadlock here (outer blocks hold workers while
         // inner calls wait for them); scoped threads must not.
         let n_outer = 8;
@@ -499,6 +535,7 @@ mod tests {
 
     #[test]
     fn deterministic_against_serial_reference() {
+        let _g = qcf_telemetry::faults::chaos_guard();
         // Same decomposition arithmetic as the executor: results must not
         // depend on how blocks land on workers.
         let data: Vec<f64> = (0..4096).map(|i| (i as f64).sin()).collect();

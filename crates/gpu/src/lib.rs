@@ -9,16 +9,13 @@
 //! * [`DeviceSpec`] / [`KernelSpec`] — the cost model ([`DeviceSpec::a100`]).
 //! * [`Stream`] — in-order launches, virtual clock, per-kernel event log.
 //! * [`exec`] — scoped-thread grid/block execution of kernel bodies.
-//! * [`MemoryPool`] / [`DeviceBuffer`] — device-memory footprint accounting.
+//! * [`Arena`] / [`with_arena_phase`] — per-thread, phase-scoped scratch.
 
-pub mod buffer;
+pub mod arena;
 pub mod device;
 pub mod exec;
 pub mod stream;
 
-pub use buffer::{
-    thread_arena_stats, with_arena_phase, Arena, ArenaMark, ArenaStats, DeviceBuffer, MemoryPool,
-    ScratchPool, Workspace, WorkspaceStats,
-};
+pub use arena::{thread_arena_stats, with_arena_phase, Arena, ArenaMark, ArenaStats};
 pub use device::{DeviceSpec, KernelSpec, MemoryPattern};
 pub use stream::{KernelEvent, Stream};

@@ -289,6 +289,9 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_and_rejects_tampering() {
+        // Holds the chaos guard: an unguarded write here would consume the
+        // kill-point injections the chaos tests below arm.
+        let _guard = qcf_telemetry::faults::chaos_guard();
         let path = tmp("roundtrip.qcfs");
         let body = b"QCFSNAP1 pretend body".to_vec();
         let total = write_snapshot(&path, &body).unwrap();

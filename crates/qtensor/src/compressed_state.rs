@@ -200,10 +200,12 @@ pub struct TierBreakdown {
 }
 
 /// Microsecond bucket bounds for the per-chunk stage latency histograms:
-/// roughly log-spaced from sub-10µs gate kernels up to the 10ms+ tail a
-/// faulted decode retry can hit; slower events land in the overflow bucket.
-const LATENCY_BOUNDS_US: [f64; 10] = [
-    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10000.0,
+/// roughly log-spaced from sub-10µs gate kernels up to 250ms, so the default
+/// 100ms latency objectives read a finite quantile even when one slow apply
+/// lands above 10ms; slower events land in the overflow bucket.
+const LATENCY_BOUNDS_US: [f64; 14] = [
+    10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0, 10_000.0, 25_000.0, 50_000.0,
+    100_000.0, 250_000.0,
 ];
 
 /// Cached handles for the `state.*_us` latency histograms, resolved once at
@@ -1792,6 +1794,25 @@ mod tests {
     use super::*;
     use compressors::dummy::Memcpy;
     use qcircuit::{qaoa_circuit, QaoaParams};
+
+    #[test]
+    fn latency_histograms_cover_default_quantile_objectives() {
+        use qcf_telemetry::slo::{Expr, SloSpec};
+        StateLatency::new();
+        let reg = qcf_telemetry::registry();
+        for o in SloSpec::defaults().objectives {
+            if let Expr::Quantile(key, _) = &o.expr {
+                let buckets = reg.histogram(key, &[]).bucket_counts();
+                let last_finite = buckets.iter().rev().nth(1).map_or(0.0, |b| b.0);
+                assert!(
+                    o.threshold <= last_finite,
+                    "{}: threshold {} lies beyond {key}'s last finite bucket {last_finite}",
+                    o.name,
+                    o.threshold
+                );
+            }
+        }
+    }
 
     fn qaoa(n: usize, seed: u64) -> (Circuit, Graph) {
         let g = Graph::random_regular(n, 3, seed);

@@ -538,124 +538,6 @@ fn parse_prom_value(tok: &str) -> Result<f64, String> {
     }
 }
 
-/// Quantile value as a JSON token: `NaN` (empty histogram) becomes `null`
-/// rather than a fake magnitude.
-fn json_quantile(v: f64) -> String {
-    if v.is_nan() {
-        "null".to_string()
-    } else {
-        json_num(v)
-    }
-}
-
-/// Schema identifier stamped on the first line of every NDJSON feed.
-/// Consumers version-detect on the `qcf.samples.` prefix and reject
-/// major versions they do not understand.
-pub const NDJSON_SCHEMA: &str = "qcf.samples.v1";
-
-/// Renders time-series samples as streaming NDJSON. The first line is a
-/// schema header — `{"schema":"qcf.samples.v1","samples":N}` — so a
-/// downstream scraper can version-detect the feed before parsing data
-/// lines. Every following line is one JSON object, ordered oldest
-/// first, and compact — timestamp, every counter/gauge/float-gauge
-/// value, and per-histogram `count`/`mean` plus the p50/p95/p99 sketch —
-/// so a feed consumer (or `qcfz top`) gets rates and percentiles without
-/// re-shipping full bucket arrays every tick.
-pub fn ndjson_samples(samples: &[crate::timeseries::Sample]) -> String {
-    let mut out = String::with_capacity(samples.len() * 256 + 64);
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"{NDJSON_SCHEMA}\",\"samples\":{}}}",
-        samples.len()
-    );
-    for s in samples {
-        let _ = write!(out, "{{\"t_us\":{},\"counters\":{{", s.t_us);
-        for (i, (k, v)) in s.metrics.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, k);
-            let _ = write!(out, "\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, (v, _))) in s.metrics.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, k);
-            let _ = write!(out, "\":{v}");
-        }
-        out.push_str("},\"float_gauges\":{");
-        for (i, (k, v)) in s.metrics.float_gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, k);
-            let _ = write!(out, "\":{}", json_num(*v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in s.metrics.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(&mut out, k);
-            let _ = write!(
-                out,
-                "\":{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count,
-                json_num(h.mean),
-                json_quantile(h.quantile(0.5)),
-                json_quantile(h.quantile(0.95)),
-                json_quantile(h.quantile(0.99))
-            );
-        }
-        out.push_str("}}\n");
-    }
-    out
-}
-
-/// What [`validate_ndjson`] learned about a feed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NdjsonStats {
-    /// The schema string from the header line.
-    pub schema: String,
-    /// Data lines following the header.
-    pub samples: usize,
-}
-
-/// Validates an NDJSON sample feed: the first line must be a schema
-/// header whose `schema` value carries the `qcf.samples.` family prefix
-/// (version detection — a `v2` feed is reported back to the caller, not
-/// silently mis-parsed), and every following line must be one
-/// well-formed JSON object with a `t_us` field.
-pub fn validate_ndjson(feed: &str) -> Result<NdjsonStats, String> {
-    let mut lines = feed.lines();
-    let header = lines.next().ok_or("empty feed: no schema line")?;
-    validate_json(header).map_err(|e| format!("schema line: {e}"))?;
-    let schema = header
-        .split("\"schema\"")
-        .nth(1)
-        .and_then(|rest| rest.split('"').nth(1))
-        .ok_or("first line carries no \"schema\" key")?
-        .to_string();
-    if !schema.starts_with("qcf.samples.") {
-        return Err(format!("unknown schema family {schema:?}"));
-    }
-    let mut samples = 0usize;
-    for (i, line) in lines.enumerate() {
-        validate_json(line).map_err(|e| format!("data line {}: {e}", i + 1))?;
-        if !line.contains("\"t_us\"") {
-            return Err(format!("data line {} has no t_us field", i + 1));
-        }
-        samples += 1;
-    }
-    Ok(NdjsonStats { schema, samples })
-}
-
 /// Minimal structural JSON validator (no std JSON parser in this
 /// dependency-free workspace): checks the document parses as one JSON
 /// value with balanced structure and valid tokens. Used by tests to
@@ -978,56 +860,6 @@ mod tests {
         let stats = validate_prometheus(ok).unwrap();
         assert_eq!(stats.histograms, 1);
         assert_eq!(stats.samples, 4);
-    }
-
-    #[test]
-    fn ndjson_feed_lines_are_each_valid_json() {
-        let samples = vec![
-            crate::timeseries::Sample {
-                t_us: 10,
-                metrics: sample_snapshot(),
-            },
-            crate::timeseries::Sample {
-                t_us: 20,
-                metrics: sample_snapshot(),
-            },
-        ];
-        let feed = ndjson_samples(&samples);
-        let lines: Vec<&str> = feed.lines().collect();
-        assert_eq!(lines.len(), 3, "schema header + one line per sample");
-        for line in &lines {
-            validate_json(line).expect("each NDJSON line must be valid JSON");
-        }
-        assert!(lines[0].contains("\"schema\":\"qcf.samples.v1\""));
-        assert!(lines[0].contains("\"samples\":2"));
-        assert!(lines[1].contains("\"t_us\":10"));
-        assert!(lines[2].contains("\"t_us\":20"));
-        assert!(lines[1].contains("\"p95\":"));
-        assert!(lines[1].contains("gpu.kernel.launches"));
-    }
-
-    #[test]
-    fn ndjson_validator_version_detects_the_feed() {
-        let samples = vec![crate::timeseries::Sample {
-            t_us: 10,
-            metrics: sample_snapshot(),
-        }];
-        let stats = validate_ndjson(&ndjson_samples(&samples)).unwrap();
-        assert_eq!(stats.schema, NDJSON_SCHEMA);
-        assert_eq!(stats.samples, 1);
-        // An empty run still has a detectable schema.
-        let stats = validate_ndjson(&ndjson_samples(&[])).unwrap();
-        assert_eq!(stats.samples, 0);
-        // Future versions in the family are surfaced, not mis-parsed.
-        let v2 = "{\"schema\":\"qcf.samples.v2\",\"samples\":0}\n";
-        assert_eq!(validate_ndjson(v2).unwrap().schema, "qcf.samples.v2");
-        // Foreign or missing schemas are refused.
-        assert!(validate_ndjson("{\"schema\":\"other.v1\"}\n").is_err());
-        assert!(validate_ndjson("{\"t_us\":1}\n").is_err());
-        assert!(validate_ndjson("").is_err());
-        // A corrupt data line is pinpointed.
-        let bad = format!("{}{{broken\n", ndjson_samples(&samples));
-        assert!(validate_ndjson(&bad).unwrap_err().contains("data line 2"));
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub mod slo;
 pub mod span;
 pub mod timeseries;
 
-pub use export::{
-    chrome_trace, metrics_json, metrics_tsv, ndjson_samples, prometheus_text, LaneEvent, StreamLane,
-};
+pub use export::{chrome_trace, metrics_json, metrics_tsv, prometheus_text, LaneEvent, StreamLane};
 pub use flight::FlightFrame;
 pub use metrics::{registry, Counter, FloatGauge, Gauge, GaugeTrack, Histogram, Registry};
 pub use span::{SpanEvent, SpanGuard};

@@ -62,8 +62,8 @@
 //! (kind [`crate::journal::EventKind::Slo`], chunk id
 //! [`JOURNAL_BASE`]` + objective index`) and flight-recorder
 //! checkpoints, and the engine maintains exact `slo.*` registry
-//! counters/gauges — which therefore flow through the Prometheus and
-//! NDJSON exporters like every other instrument.
+//! counters/gauges — which therefore flow through the Prometheus and JSON
+//! exporters like every other instrument.
 //!
 //! ## Arming and cost
 //!

@@ -15,55 +15,19 @@ use crate::tensor::{
     permute_kernel, strides_of, Ix, Tensor, TensorError, PAR_BLOCK, PAR_MIN_ELEMS,
 };
 use gpu_model::exec::{par_chunks_mut, par_fill_blocks};
-use gpu_model::ScratchPool;
-use std::sync::OnceLock;
-
-/// Shared scratch arena for the contraction loop's permute intermediates:
-/// the `(free, shared)`-ordered copies of the operands live only for the
-/// duration of one GEMM, so their buffers are checked back in instead of
-/// reallocated per contraction.
-pub fn scratch() -> &'static ScratchPool<Complex64> {
-    static POOL: OnceLock<ScratchPool<Complex64>> = OnceLock::new();
-    POOL.get_or_init(|| ScratchPool::with_metrics("tensor.scratch"))
-}
-
-/// A permuted operand: either the tensor's own storage (identity order) or
-/// a pooled scratch buffer holding the gathered copy.
-enum Operand<'a> {
-    Borrowed(&'a [Complex64]),
-    Pooled(Vec<Complex64>),
-}
-
-impl Operand<'_> {
-    fn as_slice(&self) -> &[Complex64] {
-        match self {
-            Operand::Borrowed(s) => s,
-            Operand::Pooled(v) => v,
-        }
-    }
-
-    /// Returns a pooled buffer to the arena (no-op for borrowed storage).
-    fn release(self, pool: &ScratchPool<Complex64>) {
-        if let Operand::Pooled(v) = self {
-            pool.put(v);
-        }
-    }
-}
+use std::borrow::Cow;
 
 /// Permutes `t` into `order` without building a `Tensor`: identity orders
-/// borrow the original storage, others gather into a pooled buffer.
-fn permuted_operand<'a>(
-    t: &'a Tensor,
-    order: &[Ix],
-    pool: &ScratchPool<Complex64>,
-) -> Result<Operand<'a>, TensorError> {
+/// borrow the original storage, others gather into a fresh buffer that
+/// lives for one GEMM.
+fn permuted_operand<'a>(t: &'a Tensor, order: &[Ix]) -> Result<Cow<'a, [Complex64]>, TensorError> {
     match t.permute_plan(order)? {
-        None => Ok(Operand::Borrowed(t.data())),
+        None => Ok(Cow::Borrowed(t.data())),
         Some((new_dims, contrib)) => {
             let _span = qcf_telemetry::span!("tensor.permute");
-            let mut buf = pool.take(t.len());
+            let mut buf = vec![Complex64::ZERO; t.len()];
             permute_kernel(t.data(), &new_dims, &contrib, &mut buf);
-            Ok(Operand::Pooled(buf))
+            Ok(Cow::Owned(buf))
         }
     }
 }
@@ -185,28 +149,24 @@ fn gemm_rows(
 /// The permute and GEMM kernels run block-parallel for large operands, with
 /// per-row work assignment and a fixed ascending-`k` accumulation order —
 /// output bytes are identical to [`contract_serial`] for every input.
-/// Permute intermediates come from the [`scratch`] arena instead of fresh
-/// allocations.
 pub fn contract(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let plan = gemm_plan(a, b)?;
     let (m, n, k) = (plan.m, plan.n, plan.k);
 
-    let pool = scratch();
-    let pa = permuted_operand(a, &plan.order_a, pool)?;
-    let pb = permuted_operand(b, &plan.order_b, pool)?;
+    let da = permuted_operand(a, &plan.order_a)?;
+    let db = permuted_operand(b, &plan.order_b)?;
 
     let mut out = vec![Complex64::ZERO; m * n];
-    let (da, db) = (pa.as_slice(), pb.as_slice());
     {
         let _span = qcf_telemetry::span!("tensor.gemm");
         if m * n * k.max(1) >= PAR_MIN_ELEMS && n > 0 && m > 1 {
-            par_chunks_mut(&mut out, n, |row, orow| gemm_rows(da, db, orow, row, n, k));
+            par_chunks_mut(&mut out, n, |row, orow| {
+                gemm_rows(&da, &db, orow, row, n, k)
+            });
         } else if !out.is_empty() {
-            gemm_rows(da, db, &mut out, 0, n, k);
+            gemm_rows(&da, &db, &mut out, 0, n, k);
         }
     }
-    pa.release(pool);
-    pb.release(pool);
 
     Tensor::new(plan.out_ix, plan.out_dims, out)
 }
