@@ -154,9 +154,11 @@ fi
 # 3, the simulated-crash code). Resuming the survivor and finishing the
 # run must reproduce the golden completion character for character —
 # kill points 1-4 leave the old gate-8 snapshot, kill point 5 lands
-# after the rename and commits gate 16. A torn write that "succeeds"
-# must then be rejected by the footer checksum on resume, and a
-# malformed QCF_FAULTS spec must be refused up front with exit 2.
+# after the rename and commits gate 16. The kill-point-1 run also asks
+# for `--metrics`: a failing run must still write its registry as
+# Prometheus text. A torn write that "succeeds" must then be rejected by
+# the footer checksum on resume, and a malformed QCF_FAULTS or QCF_SLO
+# spec must be refused up front with exit 2.
 echo "== checkpoint crash drill (kill-point matrix + torn write) =="
 ck_dir=$(mktemp -d /tmp/qcf-crash-drill.XXXXXX)
 trap 'rm -rf "$ck_dir"' EXIT
@@ -169,12 +171,18 @@ gold8=$("${qcfz[@]}" resume "$ck_dir/g8.qcfs" --verify | grep '^finished:')
 gold16=$("${qcfz[@]}" resume "$ck_dir/g16.qcfs" --verify | grep '^finished:')
 for n in 1 2 3 4 5; do
     cp "$ck_dir/g8.qcfs" "$ck_dir/d.qcfs"
+    export_flags=()
+    [ "$n" -eq 1 ] && export_flags=(--metrics "$ck_dir/crash.prom")
     rc=0
     QCF_FAULTS="seed=3,ckpt.kill_point@$n" "${qcfz[@]}" checkpoint \
         --out "$ck_dir/d.qcfs" --from "$ck_dir/d.qcfs" --gates 16 \
-        >/dev/null 2>&1 || rc=$?
+        "${export_flags[@]}" >/dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 3 ]; then
         echo "crash drill FAILED: kill point $n exited $rc, want 3" >&2
+        exit 1
+    fi
+    if [ "$n" -eq 1 ] && ! grep -q '^# TYPE qcf_' "$ck_dir/crash.prom"; then
+        echo "crash drill FAILED: the crashed run left no Prometheus metrics" >&2
         exit 1
     fi
     got=$("${qcfz[@]}" resume "$ck_dir/d.qcfs" --verify | grep '^finished:')
@@ -206,6 +214,13 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 echo "malformed QCF_FAULTS: refused up front (exit 2)"
+rc=0
+QCF_SLO="x: rate(" "${qcfz[@]}" slo --nodes 6 >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "crash drill FAILED: malformed QCF_SLO exited $rc, want 2" >&2
+    exit 1
+fi
+echo "malformed QCF_SLO: refused up front (exit 2)"
 
 # Spill-log compaction drill: a churned, budgeted run must compact its
 # append-only spill log (reclaiming dead superseded records) while the

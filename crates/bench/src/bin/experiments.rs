@@ -7,8 +7,8 @@
 //!
 //! Prints each regenerated table and writes JSON records (default
 //! `results/`). `--trace` writes a Chrome-trace JSON of all spans recorded
-//! across the run, `--metrics` dumps the telemetry registry (TSV, or JSON
-//! with a `.json` extension), and `--phases` prints the per-phase time
+//! across the run, `--metrics` dumps the telemetry registry as Prometheus
+//! text exposition, and `--phases` prints the per-phase time
 //! breakdown table after the experiments finish.
 
 use qcf_bench::experiments::run_by_id;
@@ -86,7 +86,7 @@ fn main() {
     }
     if let Some(path) = &metrics_path {
         match cli::write_metrics(Path::new(path)) {
-            Ok(()) => eprintln!("metrics written to {path}"),
+            Ok(_) => eprintln!("metrics written to {path}"),
             Err(e) => eprintln!("warning: could not write metrics: {e}"),
         }
     }

@@ -56,12 +56,10 @@
 //!
 //! Every subcommand that does work accepts `--trace out.json` (Chrome-trace
 //! JSON: host span lanes plus the simulated stream's kernel lane, loadable
-//! in `chrome://tracing` / `ui.perfetto.dev`) and `--metrics out.tsv`
-//! (flat registry dump; `.json` extension switches the format).
-//!
-//! With `QCF_FLIGHT_RECORD` set, every run keeps a bounded ring of
-//! telemetry checkpoints; on error the ring is dumped next to the failure
-//! (and at normal exit too when the variable names a path).
+//! in `chrome://tracing` / `ui.perfetto.dev`) and `--metrics out.prom`
+//! (the registry as Prometheus text exposition). A run that fails still
+//! writes both before it exits, so the registry and spans leading up to
+//! the failure are kept.
 
 use gpu_model::{DeviceSpec, Stream};
 use qcf_bench::{cli, run_report};
@@ -126,6 +124,12 @@ fn main() {
             eprintln!("error: QCF_FAULTS is malformed: {e}");
             std::process::exit(2);
         }
+    }
+    // Same contract for QCF_SLO: a typo'd spec must not fall back to the
+    // built-in objectives and let the SLO drills pass vacuously.
+    if let Err(e) = qcf_telemetry::slo::SloSpec::active() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
     }
     let result = match args.first().map(String::as_str) {
         Some("list") => {
@@ -609,44 +613,28 @@ fn main() {
                  | report [--nodes N] [--seed S] [--chunk C] [--cache K] [--compressor NAME] \
                  [--rel X|--abs X] [--out report.md|.html] [--json BENCH_report.json] \
                  [--baseline BENCH_report.json] [--check] [--diff BENCH_report.json]\n\
-                 any work subcommand also takes [--trace out.json] [--metrics out.tsv]; \
-                 set QCF_SLO to declare service-level objectives (see `qcfz slo --print`); \
-                 set QCF_FLIGHT_RECORD[=path] to keep a dumpable telemetry flight ring"
+                 any work subcommand also takes [--trace out.json] [--metrics out.prom]; \
+                 set QCF_SLO to declare service-level objectives (see `qcfz slo --print`)"
             );
             std::process::exit(2);
         }
     };
-    match result {
-        Err(e) => {
-            eprintln!("error: {e}");
-            // Post-mortem: dump the flight ring next to the failure (no-op
-            // unless QCF_FLIGHT_RECORD armed the recorder).
-            match qcf_telemetry::flight::dump(&format!("error: {e}"), None) {
-                Ok(Some(path)) => eprintln!("flight record dumped to {}", path.display()),
-                Ok(None) => {}
-                Err(io) => eprintln!("flight record dump failed: {io}"),
-            }
-            // A simulated kill-point crash is its own exit code so the
-            // crash drills can tell "died at the boundary as planned"
-            // from a real failure.
-            let code = if e.0.contains("ckpt.kill_point@") {
-                3
-            } else {
-                1
-            };
-            std::process::exit(code);
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        // Post-mortem: the requested exports still record what the run did
+        // up to the failure.
+        if let Err(io) = export_telemetry(&args, &[]) {
+            eprintln!("telemetry export failed: {io}");
         }
-        Ok(()) => {
-            // On-demand record: when QCF_FLIGHT_RECORD names a path, write
-            // the ring at normal exit too.
-            if qcf_telemetry::flight::dump_path().is_some() {
-                match qcf_telemetry::flight::dump("exit", None) {
-                    Ok(Some(path)) => eprintln!("flight record written to {}", path.display()),
-                    Ok(None) => {}
-                    Err(io) => eprintln!("flight record dump failed: {io}"),
-                }
-            }
-        }
+        // A simulated kill-point crash is its own exit code so the crash
+        // drills can tell "died at the boundary as planned" from a real
+        // failure.
+        let code = if e.0.contains("ckpt.kill_point@") {
+            3
+        } else {
+            1
+        };
+        std::process::exit(code);
     }
 }
 

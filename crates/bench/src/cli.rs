@@ -8,6 +8,7 @@
 use compressors::{all_compressors, by_name, Compressor, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
 use qcf_core::QcfCompressor;
+use qcf_telemetry::metrics::Snapshot;
 use qcf_telemetry::StreamLane;
 use qcircuit::{qaoa_circuit, Graph, QaoaParams};
 use qtensor::compressed::CompressingHook;
@@ -814,17 +815,12 @@ pub fn write_trace(path: &Path, lanes: &[StreamLane]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Writes the registry snapshot to `path`: JSON when the extension is
-/// `.json`, TSV otherwise.
-pub fn write_metrics(path: &Path) -> Result<(), CliError> {
+/// Writes a registry snapshot to `path` as Prometheus text exposition
+/// and returns the snapshot it wrote.
+pub fn write_metrics(path: &Path) -> Result<Snapshot, CliError> {
     let snap = qcf_telemetry::registry().snapshot();
-    let doc = if path.extension().is_some_and(|e| e == "json") {
-        qcf_telemetry::metrics_json(&snap)
-    } else {
-        qcf_telemetry::metrics_tsv(&snap)
-    };
-    std::fs::write(path, doc)?;
-    Ok(())
+    std::fs::write(path, qcf_telemetry::prometheus_text(&snap))?;
+    Ok(snap)
 }
 
 /// Parses a `--rel X` / `--abs X` pair into a bound (defaults to rel 1e-3).
@@ -1007,6 +1003,7 @@ mod tests {
 
     #[test]
     fn qaoa_demo_trace_and_metrics_are_parseable() {
+        let _g = crate::telemetry_test_lock();
         qcf_telemetry::set_enabled(true);
         let s = qaoa_demo(10, 21, "QCF-ratio", ErrorBound::Abs(1e-5)).unwrap();
         assert!(s.tensors_compressed > 0);
@@ -1034,29 +1031,25 @@ mod tests {
             "stream lane events must be present"
         );
 
-        // Metrics: TSV and JSON both parse, and carry peak-live-bytes and
-        // per-compressor CR.
-        let tsv_path = tmp("qaoa.metrics.tsv");
-        write_metrics(&tsv_path).unwrap();
-        let tsv = std::fs::read_to_string(&tsv_path).unwrap();
-        assert!(tsv.starts_with("kind\tname\tvalue\textra\n"));
-        for line in tsv.lines() {
-            assert_eq!(line.split('\t').count(), 4, "malformed TSV row {line:?}");
+        // Metrics: the Prometheus exposition users get parses, carries
+        // peak-live-bytes and per-compressor CR, and every counter reads
+        // exactly the value of the snapshot it was written from.
+        let prom_path = tmp("qaoa.metrics.prom");
+        let snap = write_metrics(&prom_path).unwrap();
+        let prom = std::fs::read_to_string(&prom_path).unwrap();
+        qcf_telemetry::export::validate_prometheus(&prom).expect("exposition must validate");
+        for key in ["qcf_contract_live_bytes", "qcf_compressor_QCF_ratio_cr"] {
+            assert!(
+                prom.lines().any(|l| l.starts_with(&format!("{key} "))),
+                "{key} missing:\n{prom}"
+            );
         }
-        assert!(
-            tsv.contains("contract.live_bytes"),
-            "peak-live-bytes gauge missing:\n{tsv}"
-        );
-        assert!(
-            tsv.contains("compressor.QCF-ratio.cr"),
-            "per-compressor CR missing:\n{tsv}"
-        );
-
-        let json_path = tmp("qaoa.metrics.json");
-        write_metrics(&json_path).unwrap();
-        let mjson = std::fs::read_to_string(&json_path).unwrap();
-        qcf_telemetry::export::validate_json(&mjson).expect("metrics JSON must be valid");
-        assert!(mjson.contains("contract.live_bytes"));
+        let lines: std::collections::BTreeSet<&str> = prom.lines().collect();
+        assert!(!snap.counters.is_empty());
+        for (name, value) in &snap.counters {
+            let line = format!("{} {value}", qcf_telemetry::export::prometheus_name(name));
+            assert!(lines.contains(line.as_str()), "counter {name}: no {line:?}");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub mod slo_cmd;
 pub mod top;
 
 /// Serializes tests that drive the process-global telemetry substrate
-/// (registry values, sampler ring, SLO engine, journal) — concurrent
-/// tests would reset each other's state mid-run.
+/// (registry values, sampler ring, journal) — concurrent tests would
+/// reset each other's state mid-run.
 #[cfg(test)]
 pub(crate) fn telemetry_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

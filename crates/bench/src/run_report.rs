@@ -23,8 +23,8 @@
 //!
 //! [`RunReport::to_markdown`] renders everything — per-phase span tables,
 //! registry metrics, the per-compressor quality table, the per-state ledger
-//! summary, and any flight-recorder frames — into one document
-//! (`to_html` wraps the same content for browsers).
+//! summary — into one document (`to_html` wraps the same content for
+//! browsers).
 //!
 //! [`RunReport::baseline`] flattens the run's stable scalars into
 //! `key → number` pairs, and [`check`] diffs a current run against a stored
@@ -257,13 +257,12 @@ pub const OOCORE_CACHE: usize = 2;
 
 /// Runs all five phases and gathers the report.
 pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
-    qcf_telemetry::flight::record("report.start");
+    let spec = SloSpec::active().map_err(CliError)?;
 
     let scope = RunScope::enter();
     let qaoa = cli::qaoa_demo(config.nodes, config.seed, &config.compressor, config.bound)?;
     let (spans, metrics) = scope.finish();
     let qaoa_phase = PhaseRecord { spans, metrics };
-    qcf_telemetry::flight::record("report.qaoa.done");
 
     let mut state_cfg = cli::StateRunCfg::new(
         config.nodes,
@@ -284,7 +283,6 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
     let state = cli::state_demo(&state_cfg)?;
     let (spans, metrics) = scope.finish();
     let state_phase = PhaseRecord { spans, metrics };
-    qcf_telemetry::flight::record("report.state.done");
 
     // Out-of-core phase: identical instance, budgeted. The async run is
     // the recorded phase; the synchronous fetch-on-miss run is the wall
@@ -312,7 +310,6 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
             )));
         }
     }
-    qcf_telemetry::flight::record("report.oocore.done");
 
     // Checkpoint/restore phase, still under the out-of-core budget so the
     // snapshot serializes spilled frames too (and prefetched again, so
@@ -354,7 +351,6 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
             resume.energy, resume_plain.energy
         )));
     }
-    qcf_telemetry::flight::record("report.ckpt.done");
 
     let scope = RunScope::enter();
     let tensor = synthetic_tensor(1 << 14, 0.3, config.seed);
@@ -389,19 +385,18 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
         });
     }
     let _ = scope.finish();
-    qcf_telemetry::flight::record("report.quality.done");
 
     // SLO verdict over the compressed-state phases' final registries
     // (the qaoa and quality phases carry no state.* signals to judge).
-    let slo = slo_eval(
-        &SloSpec::active(),
-        &[
-            &state_phase.metrics,
-            &oocore_phase.metrics,
-            &ckpt_phase.metrics,
-        ],
-    );
-    qcf_telemetry::flight::record("report.slo.done");
+    let judged = [
+        &state_phase.metrics,
+        &oocore_phase.metrics,
+        &ckpt_phase.metrics,
+    ];
+    for snap in judged {
+        spec.check_coverage(snap).map_err(CliError)?;
+    }
+    let slo = slo_eval(&spec, &judged);
 
     Ok(RunReport {
         config,
@@ -756,20 +751,6 @@ impl RunReport {
             arena.bytes_in_use, arena.high_water, arena.resets, arena.chunks
         );
 
-        let frames = qcf_telemetry::flight::frames();
-        if !frames.is_empty() {
-            let _ = writeln!(out, "## Flight recorder\n");
-            let _ = writeln!(
-                out,
-                "{} frames retained ({} overwritten):\n",
-                frames.len(),
-                qcf_telemetry::flight::overwritten()
-            );
-            for f in &frames {
-                let _ = writeln!(out, "- t+{}µs `{}`", f.t_us, f.label);
-            }
-            let _ = writeln!(out);
-        }
         out
     }
 

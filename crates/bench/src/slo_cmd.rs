@@ -1,11 +1,12 @@
 //! `qcfz slo` — evaluate the service-level objectives against a real run.
 //!
 //! The command drives one chunk-compressed state workload (the same
-//! instance `qcfz state` runs) with the background sampler, the live SLO
-//! engine and the causal journal armed, then replays the captured sample
-//! ring through the pure evaluator ([`qcf_telemetry::slo::evaluate_ring`])
-//! — the deterministic verdict path — and prints the alert table, the
-//! lifecycle transition log and an exact-accounting self check.
+//! instance `qcfz state` runs) with the background sampler armed, then
+//! replays the captured sample ring through the one evaluator
+//! ([`qcf_telemetry::slo::evaluate_ring`]) and prints the alert table,
+//! the lifecycle transition log and an exact-accounting self check. A
+//! quantile objective the run's histograms cannot resolve is refused
+//! before judging ([`SloSpec::check_coverage`]).
 //!
 //! Modes:
 //!
@@ -15,17 +16,14 @@
 //!   (the fault-drill contract — CI seeds faults and demands the alarm
 //!   rang, not that the fault conveniently lasted until the final tick);
 //! * `--explain <alert>`: additionally dissect one alert — its objective,
-//!   every transition with both window values, the contributing ring
-//!   samples around each transition, and the journal's causal chain for
-//!   the alert (the live engine journals each transition under
-//!   [`qcf_telemetry::slo::JOURNAL_BASE`]` + objective index`);
+//!   every transition with both window values, and the contributing ring
+//!   samples around each transition;
 //! * `--print`: print the active spec (`QCF_SLO` or built-in defaults)
 //!   and exit — the round-trippable rules text, ready to edit.
 
 use crate::cli::{self, CliError, StateRunCfg};
 use compressors::ErrorBound;
-use qcf_telemetry::journal;
-use qcf_telemetry::slo::{self, AlertState, Expr, SloReport, SloSpec, JOURNAL_BASE};
+use qcf_telemetry::slo::{self, AlertState, Expr, SloReport, SloSpec};
 use qcf_telemetry::timeseries::{self, Sample};
 use std::fmt::Write as _;
 
@@ -87,10 +85,10 @@ pub struct SloOutcome {
     pub ok: bool,
 }
 
-/// The `qcfz slo` body: run the workload under the armed engine, replay
-/// the ring, render, and judge.
+/// The `qcfz slo` body: run the workload under the sampler, replay the
+/// ring, render, and judge.
 pub fn run(cfg: &SloConfig) -> Result<SloOutcome, CliError> {
-    let spec = SloSpec::active();
+    let spec = SloSpec::active().map_err(CliError)?;
     if cfg.print_spec {
         return Ok(SloOutcome {
             text: spec.to_text(),
@@ -104,12 +102,8 @@ pub fn run(cfg: &SloConfig) -> Result<SloOutcome, CliError> {
 /// [`run`] with an explicit spec (tests inject tight objectives here;
 /// the CLI path resolves `QCF_SLO`/defaults via [`SloSpec::active`]).
 pub fn run_with_spec(cfg: &SloConfig, spec: SloSpec) -> Result<SloOutcome, CliError> {
-    // Arm the whole continuous-telemetry stack: live engine (so the
-    // journal carries the causal chain `--explain` prints), sampler (the
-    // ring the verdict replays), journal.
+    // The sampler records the ring the verdict replays.
     qcf_telemetry::set_enabled(true);
-    journal::set_enabled(true);
-    slo::arm(spec.clone());
     timeseries::stop();
     timeseries::reset();
     timeseries::start(cfg.interval_ms.max(1));
@@ -129,9 +123,10 @@ pub fn run_with_spec(cfg: &SloConfig, spec: SloSpec) -> Result<SloOutcome, CliEr
     // error, so a crashed run still leaves the ring inspectable.
     timeseries::capture();
     timeseries::stop();
-    journal::set_enabled(false);
     let summary = summary?;
 
+    spec.check_coverage(&qcf_telemetry::registry().snapshot())
+        .map_err(CliError)?;
     let samples = timeseries::samples();
     let report = slo::evaluate_ring(&spec, &samples);
     report
@@ -294,9 +289,8 @@ fn point_value(expr: &Expr, samples: &[Sample], i: usize) -> f64 {
     slo::eval_window(expr, window).unwrap_or(f64::NAN)
 }
 
-/// `--explain <alert>`: one alert's objective, transitions, the ring
-/// samples inside the fast window at each transition, and the journal's
-/// causal chain for the alert.
+/// `--explain <alert>`: one alert's objective, transitions, and the ring
+/// samples inside the fast window at each transition.
 fn explain(name: &str, report: &SloReport, samples: &[Sample]) -> Result<String, CliError> {
     let idx = report
         .spec
@@ -361,36 +355,6 @@ fn explain(name: &str, report: &SloReport, samples: &[Sample]) -> Result<String,
             );
         }
     }
-    // Journal causal chain: the live engine records every transition it
-    // took under a synthetic per-objective chunk id. The live machine can
-    // legitimately disagree with the replay after a ring fold (it ticked
-    // on samples the fold later discarded), so this is evidence of what
-    // the process experienced, labelled as such — not the verdict.
-    let events = journal::events(JOURNAL_BASE + idx as u64);
-    if !events.is_empty() {
-        let _ = writeln!(
-            out,
-            "  journal chain (live engine, {} events; detail = new state code):",
-            events.len()
-        );
-        for e in &events {
-            let to = match e.detail as i64 {
-                0 => "ok",
-                1 => "pending",
-                2 => "firing",
-                3 => "resolved",
-                _ => "?",
-            };
-            let _ = writeln!(
-                out,
-                "    seq {:>6} t+{}µs  {} -> {}",
-                e.seq,
-                e.t_us,
-                e.kind.label(),
-                to
-            );
-        }
-    }
     Ok(out)
 }
 
@@ -437,7 +401,6 @@ mod tests {
         assert!(out.firing.is_empty());
         assert!(out.text.contains("slo accounting: exact"), "{}", out.text);
         assert!(out.text.contains("slo verdict: PASS"), "{}", out.text);
-        slo::disarm();
         timeseries::reset();
     }
 
@@ -473,7 +436,15 @@ mod tests {
         );
         assert!(out.text.contains("ok -> firing"), "{}", out.text);
         assert!(out.text.contains("sample"), "{}", out.text);
-        slo::disarm();
+        timeseries::reset();
+    }
+
+    #[test]
+    fn unresolvable_quantile_objective_is_refused() {
+        let _g = crate::telemetry_test_lock();
+        let spec = SloSpec::parse("latency.apply_p99: p99(state.apply_us) <= 1e9").unwrap();
+        let err = run_with_spec(&base_cfg(), spec).unwrap_err();
+        assert!(err.0.contains("last finite bucket"), "{err}");
         timeseries::reset();
     }
 

@@ -19,16 +19,18 @@
 //! ([`qcf_telemetry::export::validate_prometheus`]), so `qcfz top --once`
 //! doubles as an end-to-end gate on the export surface.
 //!
-//! Live mode also arms the SLO engine ([`qcf_telemetry::slo`]) and renders
-//! an alerts pane, and handles SIGINT / SIGHUP / SIGPIPE: the sampler is
-//! stopped cleanly and one final **ANSI-free** summary frame is printed,
-//! so an interrupted session (or a closed terminal) ends with a readable
-//! record instead of a half-drawn escape soup.
+//! Every frame carries an alerts pane: the active SLO spec (`QCF_SLO` or
+//! the defaults) replayed over the ring by
+//! [`qcf_telemetry::slo::evaluate_ring`], the same verdict `qcfz slo`
+//! gives for that ring. Live mode handles SIGINT / SIGHUP / SIGPIPE: the
+//! sampler is stopped cleanly and one final **ANSI-free** summary frame
+//! is printed, so an interrupted session (or a closed terminal) ends with
+//! a readable record instead of a half-drawn escape soup.
 
 use crate::cli::{cli_by_name, CliError};
 use compressors::ErrorBound;
 use qcf_telemetry::metrics::{quantile_from_buckets, HistogramSnapshot, Snapshot};
-use qcf_telemetry::slo::{self, AlertSnapshot, AlertState};
+use qcf_telemetry::slo::{self, AlertSnapshot, AlertState, SloSpec};
 use qcf_telemetry::timeseries::{self, Sample};
 use qcf_telemetry::{journal, prometheus_text};
 use qcircuit::{qaoa_circuit, Graph, QaoaParams};
@@ -130,11 +132,10 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     // The dashboard *is* a telemetry consumer: force the substrate on and
     // arm the journal so per-chunk counts are live, then start the sampler
     // at the requested cadence (programmatic, so no env var needed). The
-    // SLO engine is armed with the active spec (`QCF_SLO` or defaults) so
-    // the alerts pane always has objectives to show.
+    // alerts pane judges the active spec (`QCF_SLO` or defaults).
+    let spec = SloSpec::active().map_err(CliError)?;
     qcf_telemetry::set_enabled(true);
     journal::set_enabled(true);
-    slo::arm_active();
     install_signal_handlers();
     timeseries::stop();
     timeseries::start(cfg.interval_ms.max(1));
@@ -168,10 +169,11 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     if !cfg.once {
         while !worker.is_finished() && !STOP.load(Ordering::SeqCst) {
             std::thread::sleep(interval);
+            let samples = timeseries::samples();
             let frame = render(
                 &qcf_telemetry::registry().snapshot(),
-                &timeseries::samples(),
-                &slo::alerts(),
+                &samples,
+                &slo::evaluate_ring(&spec, &samples).alerts,
                 cfg,
                 None,
             );
@@ -196,12 +198,12 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
         } else {
             None
         };
+        journal::set_enabled(false);
         let snap = qcf_telemetry::registry().snapshot();
-        let frame = render(&snap, &timeseries::samples(), &slo::alerts(), cfg, energy);
+        let frame = final_frame(&spec, &snap, cfg, energy)?;
         emit(&format!(
             "\ninterrupted — final summary (partial run):\n{frame}"
         ));
-        journal::set_enabled(false);
         return Ok(frame);
     }
     let energy = worker
@@ -213,15 +215,10 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
     // first sampler interval, then freeze the series for the final frame.
     timeseries::capture();
     timeseries::stop();
+    journal::set_enabled(false);
 
     let snap = qcf_telemetry::registry().snapshot();
-    let frame = render(
-        &snap,
-        &timeseries::samples(),
-        &slo::alerts(),
-        cfg,
-        Some(energy),
-    );
+    let frame = final_frame(&spec, &snap, cfg, Some(energy))?;
     if cfg.once {
         emit(&frame);
     } else {
@@ -236,8 +233,22 @@ pub fn run(cfg: &TopConfig) -> Result<String, CliError> {
         "prometheus exposition valid: {} samples, {} histograms\n",
         stats.samples, stats.histograms
     ));
-    journal::set_enabled(false);
     Ok(frame)
+}
+
+/// The frame over a finished run: the spec is checked against the final
+/// snapshot (a quantile objective its histogram cannot resolve is
+/// refused), then judged by replaying the ring.
+fn final_frame(
+    spec: &SloSpec,
+    snap: &Snapshot,
+    cfg: &TopConfig,
+    energy: Option<f64>,
+) -> Result<String, CliError> {
+    spec.check_coverage(snap).map_err(CliError)?;
+    let samples = timeseries::samples();
+    let alerts = slo::evaluate_ring(spec, &samples).alerts;
+    Ok(render(snap, &samples, &alerts, cfg, energy))
 }
 
 /// A seven-level unicode sparkline over `values` (empty input → empty
@@ -642,7 +653,7 @@ mod tests {
             breach_ticks: 3,
             transitions: 1,
         };
-        // Disarmed engine hands back no alerts: no pane at all.
+        // No alerts: no pane at all.
         let cfg = TopConfig::new(10, 21, "QCF-speed", ErrorBound::Rel(1e-3));
         let frame = render(&synthetic_snapshot(), &[], &[], &cfg, None);
         assert!(!frame.contains("alerts"), "{frame}");
@@ -662,6 +673,26 @@ mod tests {
         // Healthy objectives stay out of the per-alert rows.
         assert!(!frame.contains("fidelity.bound"), "{frame}");
         assert!(!frame.contains('\x1b'), "frame must be escape-free");
+    }
+
+    #[test]
+    fn once_alerts_pane_is_the_ring_replay() {
+        // The pane `top --once` prints is the replay `qcfz slo` judges by:
+        // for the ring the run left behind, the two agree line for line.
+        let _guard = crate::telemetry_test_lock();
+        let mut cfg = TopConfig::new(8, 5, "QCF-speed", ErrorBound::Rel(1e-3));
+        cfg.chunk_qubits = 4;
+        cfg.interval_ms = 1;
+        cfg.once = true;
+        let frame = run(&cfg).expect("top --once");
+        let report = slo::evaluate_ring(&SloSpec::active().unwrap(), &timeseries::samples());
+        let pane = alerts_pane(&report.alerts);
+        assert!(pane.starts_with("alerts"), "{pane}");
+        assert!(
+            frame.contains(&pane),
+            "pane {pane:?} not in frame:\n{frame}"
+        );
+        timeseries::reset();
     }
 
     #[test]

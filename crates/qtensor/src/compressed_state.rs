@@ -1812,6 +1812,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(SloSpec::defaults().check_coverage(&reg.snapshot()), Ok(()));
     }
 
     fn qaoa(n: usize, seed: u64) -> (Circuit, Graph) {

@@ -158,7 +158,8 @@ impl ErrorLedger {
     /// Refreshes the registry mirrors of the state-level bounds: the
     /// worst per-chunk accumulated bound and the state-level RSS across
     /// chunks ([`LedgerSummary::accumulated_rss`] — the fidelity signal
-    /// the SLO engine watches live, rather than only at summary time).
+    /// the sampler records for the SLOs on every tick, rather than only at
+    /// summary time).
     fn publish_bounds(&self) {
         let mut max_acc = 0.0f64;
         let mut rss = 0.0f64;

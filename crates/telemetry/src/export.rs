@@ -1,5 +1,6 @@
 //! Exporters: Chrome-trace JSON (loadable in `chrome://tracing` or
-//! `ui.perfetto.dev`) and flat JSON/TSV metrics dumps.
+//! `ui.perfetto.dev`) and the Prometheus text exposition — the one
+//! registry dump format (`--metrics PATH`).
 //!
 //! ## Chrome-trace lane mapping
 //!
@@ -41,7 +42,7 @@ pub struct StreamLane {
     pub events: Vec<LaneEvent>,
 }
 
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -54,19 +55,6 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
             }
             c => out.push(c),
         }
-    }
-}
-
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on f64 never prints exponents for typical metric ranges and
-        // always round-trips; "inf"/"NaN" are not valid JSON, handled above.
-        s
-    } else if v.is_sign_positive() {
-        "1e308".to_string()
-    } else {
-        "-1e308".to_string()
     }
 }
 
@@ -152,96 +140,6 @@ pub fn chrome_trace(spans: &[SpanEvent], lanes: &[StreamLane]) -> String {
     out
 }
 
-/// Renders a registry snapshot as a flat JSON object:
-/// `{"counters":{...},"gauges":{name:{"value":v,"high_water":h}},
-///   "float_gauges":{...},"histograms":{name:{"count":..,"sum":..,
-///   "mean":..,"buckets":[[bound,count],...]}}}`.
-pub fn metrics_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{");
-    out.push_str("\"counters\":{");
-    for (i, (k, v)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, k);
-        let _ = write!(&mut out, "\":{v}");
-    }
-    out.push_str("},\"gauges\":{");
-    for (i, (k, (v, hw))) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, k);
-        let _ = write!(&mut out, "\":{{\"value\":{v},\"high_water\":{hw}}}");
-    }
-    out.push_str("},\"float_gauges\":{");
-    for (i, (k, v)) in snap.float_gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, k);
-        let _ = write!(&mut out, "\":{}", json_num(*v));
-    }
-    out.push_str("},\"histograms\":{");
-    for (i, (k, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(&mut out, k);
-        let _ = write!(
-            &mut out,
-            "\":{{\"count\":{},\"dropped\":{},\"sum\":{},\"mean\":{},\"buckets\":[",
-            h.count,
-            h.dropped,
-            json_num(h.sum),
-            json_num(h.mean)
-        );
-        for (j, (bound, count)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let bound = if bound.is_finite() {
-                json_num(*bound)
-            } else {
-                "1e308".to_string()
-            };
-            let _ = write!(&mut out, "[{bound},{count}]");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Renders a registry snapshot as TSV: `kind\tname\tvalue\textra` rows,
-/// name-sorted within each kind. Gauges put the high-water mark in
-/// `extra`; histograms dump `count` as value and `sum=..;mean=..` as
-/// extra.
-pub fn metrics_tsv(snap: &Snapshot) -> String {
-    let mut out = String::from("kind\tname\tvalue\textra\n");
-    for (k, v) in &snap.counters {
-        let _ = writeln!(&mut out, "counter\t{k}\t{v}\t");
-    }
-    for (k, (v, hw)) in &snap.gauges {
-        let _ = writeln!(&mut out, "gauge\t{k}\t{v}\thigh_water={hw}");
-    }
-    for (k, v) in &snap.float_gauges {
-        let _ = writeln!(&mut out, "float_gauge\t{k}\t{v}\t");
-    }
-    for (k, h) in &snap.histograms {
-        let _ = writeln!(
-            &mut out,
-            "histogram\t{k}\t{}\tsum={};mean={};dropped={}",
-            h.count, h.sum, h.mean, h.dropped
-        );
-    }
-    out
-}
-
 /// Maps a registry metric name onto the Prometheus charset: `qcf_` prefix,
 /// every byte outside `[a-zA-Z0-9_:]` replaced with `_`.
 pub fn prometheus_name(name: &str) -> String {
@@ -274,8 +172,8 @@ fn prom_num(v: f64) -> String {
 /// as a separate `<name>_high_water` gauge), histograms as cumulative
 /// `<name>_bucket{le="..."}` series closed by `le="+Inf"`, plus `_sum` and
 /// `_count`. Metric names are mapped via [`prometheus_name`]. The output
-/// round-trips through [`validate_prometheus`] — the ci gate for
-/// `qcfz top`'s live endpoint format.
+/// round-trips through [`validate_prometheus`]. This is what `--metrics
+/// PATH` writes and what `qcfz top` checks its live frame against.
 pub fn prometheus_text(snap: &Snapshot) -> String {
     let mut out = String::with_capacity(1024);
     for (name, value) in &snap.counters {
@@ -327,6 +225,10 @@ pub struct PromStats {
     pub histograms: usize,
 }
 
+/// Per-histogram validation state: buckets seen in order, the `+Inf`
+/// bucket's count, and the `_count` sample.
+type HistState = (Vec<u64>, Option<u64>, Option<u64>);
+
 /// Hand-rolled Prometheus text-format parser/validator (this workspace
 /// takes no dependencies). Checks, line by line: comment lines are `# TYPE
 /// <name> <counter|gauge|histogram|summary|untyped>` or `# HELP …`; sample
@@ -335,10 +237,6 @@ pub struct PromStats {
 /// additionally requires at least one `_bucket` sample with an `le` label,
 /// cumulative bucket counts that never decrease, a closing `le="+Inf"`
 /// bucket, and agreement between that bucket and `_count`.
-/// Per-histogram validation state: buckets seen in order, the `+Inf`
-/// bucket's count, and the `_count` sample.
-type HistState = (Vec<u64>, Option<u64>, Option<u64>);
-
 pub fn validate_prometheus(text: &str) -> Result<PromStats, String> {
     let mut stats = PromStats::default();
     let mut declared: Vec<(String, String)> = Vec::new(); // (name, type)
@@ -764,31 +662,6 @@ mod tests {
     fn chrome_trace_empty_inputs() {
         let doc = chrome_trace(&[], &[]);
         validate_json(&doc).expect("empty trace still valid");
-    }
-
-    #[test]
-    fn metrics_json_is_valid() {
-        let doc = metrics_json(&sample_snapshot());
-        validate_json(&doc).expect("metrics JSON must be valid");
-        assert!(doc.contains("gpu.kernel.launches"));
-        assert!(doc.contains("\"high_water\":1048576"));
-        assert!(doc.contains("17.25"));
-    }
-
-    #[test]
-    fn metrics_tsv_has_header_and_rows() {
-        let tsv = metrics_tsv(&sample_snapshot());
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines[0], "kind\tname\tvalue\textra");
-        assert_eq!(lines.len(), 5);
-        assert!(lines
-            .iter()
-            .any(|l| l.starts_with("counter\tgpu.kernel.launches\t42")));
-        assert!(lines.iter().any(|l| l.contains("high_water=1048576")));
-        // every row has exactly 4 tab-separated fields
-        for l in &lines {
-            assert_eq!(l.split('\t').count(), 4, "row {l:?}");
-        }
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!
 //! Off by default; armed by `QCF_JOURNAL=1` (or [`set_enabled`], which
 //! `qcfz state --chunk` / `qcfz top` use). Disabled, every [`record`] call
-//! is one relaxed atomic load and a branch — the same contract as spans,
-//! metrics and the flight recorder. Chunk ids are the caller's (stable
-//! chunk index within a run); [`crate::RunScope`] resets the journal so
-//! ids cannot collide across phases in one process.
+//! is one relaxed atomic load and a branch — the same contract as spans
+//! and metrics. Chunk ids are the caller's (stable chunk index within a
+//! run); [`crate::RunScope`] resets the journal so ids cannot collide
+//! across phases in one process.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -65,11 +65,6 @@ pub enum EventKind {
     /// Compressed frame fetched back from the disk tier (`detail`:
     /// fetched bytes).
     Fetch,
-    /// SLO alert lifecycle transition (`detail`: the new
-    /// [`crate::slo::AlertState`] code). Journaled under synthetic chunk
-    /// ids starting at [`crate::slo::JOURNAL_BASE`], so alert chains
-    /// share the journal's global sequence order with real chunk events.
-    Slo,
     /// Chunk's sealed frame serialized into a durable snapshot, or
     /// restored from one on resume (`detail`: frame bytes).
     Checkpoint,
@@ -79,7 +74,7 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (size of the per-kind count table).
-pub const KINDS: usize = 14;
+pub const KINDS: usize = 13;
 
 impl EventKind {
     /// Stable index into per-kind count tables.
@@ -96,9 +91,8 @@ impl EventKind {
             EventKind::Evict => 8,
             EventKind::Spill => 9,
             EventKind::Fetch => 10,
-            EventKind::Slo => 11,
-            EventKind::Checkpoint => 12,
-            EventKind::Compact => 13,
+            EventKind::Checkpoint => 11,
+            EventKind::Compact => 12,
         }
     }
 
@@ -116,7 +110,6 @@ impl EventKind {
             EventKind::Evict => "evict",
             EventKind::Spill => "spill",
             EventKind::Fetch => "fetch",
-            EventKind::Slo => "slo",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Compact => "compact",
         }
@@ -136,7 +129,6 @@ impl EventKind {
             EventKind::Evict,
             EventKind::Spill,
             EventKind::Fetch,
-            EventKind::Slo,
             EventKind::Checkpoint,
             EventKind::Compact,
         ]

@@ -13,8 +13,8 @@
 //!   marks), float gauges and fixed-bucket histograms.
 //! * [`export`] — a Chrome-trace JSON exporter (`chrome://tracing` /
 //!   `ui.perfetto.dev`-loadable; one lane per worker thread plus one
-//!   virtual lane per simulated GPU stream) and flat JSON/TSV metrics
-//!   dumps.
+//!   virtual lane per simulated GPU stream) and the Prometheus text
+//!   exposition, the one registry dump format.
 //! * [`faults`] — deterministic fault injection for chaos testing
 //!   (`QCF_FAULTS`), gated on the same one-relaxed-load pattern as the
 //!   enabled flag.
@@ -24,14 +24,17 @@
 //! * [`journal`] — a per-chunk causal event journal (`QCF_JOURNAL`):
 //!   bounded per-chunk rings of sequence-numbered lifecycle events behind
 //!   every ledger requant/quarantine count.
+//! * [`slo`] — declarative service-level objectives (`QCF_SLO`) and
+//!   their one evaluator, a pure replay over a finished sampler ring.
 //!
 //! ## Cost when disabled
 //!
 //! Telemetry is on by default and disabled with `QCF_TELEMETRY=0` (or
 //! [`set_enabled`]`(false)`). Disabled, every instrumentation point
 //! reduces to one relaxed atomic load and a branch — no clock reads, no
-//! locks, no allocation — so hot paths keep their measured throughput
-//! (see `BENCH_telemetry.json` at the workspace root for numbers).
+//! locks, no allocation — so hot paths keep their measured throughput.
+//! The enabled cost is measured end to end by the repo benchmark
+//! (`qcfbench`), as `telemetry.cost_frac` on every workload.
 //!
 //! Span and metric state is process-global. The span buffer is bounded
 //! ([`span::MAX_SPAN_EVENTS`]); overflow increments a drop counter rather
@@ -39,15 +42,13 @@
 
 pub mod export;
 pub mod faults;
-pub mod flight;
 pub mod journal;
 pub mod metrics;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
 
-pub use export::{chrome_trace, metrics_json, metrics_tsv, prometheus_text, LaneEvent, StreamLane};
-pub use flight::FlightFrame;
+pub use export::{chrome_trace, prometheus_text, LaneEvent, StreamLane};
 pub use metrics::{registry, Counter, FloatGauge, Gauge, GaugeTrack, Histogram, Registry};
 pub use span::{SpanEvent, SpanGuard};
 
@@ -90,14 +91,12 @@ pub fn set_enabled(on: bool) {
 
 /// Clears all recorded spans, metric values (counters, gauges and
 /// histograms keep their registrations), time-series samples and journal
-/// rings. For isolating runs in one process. The flight recorder ring is
-/// deliberately *not* cleared — it is the cross-run post-mortem record.
+/// rings. For isolating runs in one process.
 pub fn reset() {
     span::reset();
     metrics::registry().reset_values();
     timeseries::reset();
     journal::reset();
-    slo::reset_state();
 }
 
 /// Scoped run isolation: entering a `RunScope` clears the span buffer,

@@ -1,10 +1,10 @@
-//! Declarative SLO evaluation over the live instruments (`QCF_SLO`).
+//! Declarative SLO evaluation over the sampled instruments (`QCF_SLO`).
 //!
 //! The registry, sampler, ledger mirrors and latency sketches measure
 //! everything but judge nothing. This module closes the loop: an
 //! [`SloSpec`] declares *objectives* — named inequalities over registry
 //! keys and derived signals — and a multi-window burn-rate evaluator
-//! checks them against the [`crate::timeseries`] ring, driving each
+//! replays them over a finished [`crate::timeseries`] ring, driving each
 //! objective through a deterministic `Ok → Pending → Firing → Resolved`
 //! alert lifecycle.
 //!
@@ -58,39 +58,20 @@
 //!   clean tick demotes `Pending` back to `Ok`;
 //! * `Firing` + `resolve` consecutive clean ticks → `Resolved`.
 //!
-//! Transitions append to a bounded log, become [`crate::journal`] events
-//! (kind [`crate::journal::EventKind::Slo`], chunk id
-//! [`JOURNAL_BASE`]` + objective index`) and flight-recorder
-//! checkpoints, and the engine maintains exact `slo.*` registry
-//! counters/gauges — which therefore flow through the Prometheus and JSON
-//! exporters like every other instrument.
+//! ## One evaluator
 //!
-//! ## Arming and cost
-//!
-//! Exactly the `QCF_FAULTS` pattern: disarmed (the default when
-//! `QCF_SLO` is unset), [`tick`] is one relaxed atomic load. Armed, the
-//! sampler drives [`tick`] once per retained sample; engine hot paths
-//! never call into this module. [`evaluate_ring`] is the pure replay of
-//! the same machine over a finished ring — `qcfz slo` and tests use it
-//! for fully deterministic verdicts.
+//! [`evaluate_ring`] is the only lifecycle evaluator: a pure replay over a
+//! finished ring, with one tick per retained sample. `qcfz slo` and `qcfz
+//! top`'s alerts pane both judge through it, so they cannot disagree for
+//! the same ring (`qcfz report` reads phase-final registries through
+//! [`eval_window`] alone). Nothing in this module runs on a hot path or
+//! while sampling. Before judging, callers run
+//! [`SloSpec::check_coverage`] on the run's final snapshot, so a quantile
+//! target beyond its histogram's last finite bucket is refused, not read
+//! as `+inf`.
 
 use crate::metrics::{quantile_from_buckets, Snapshot};
 use crate::timeseries::Sample;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// 0 = uninitialized, 1 = armed, 2 = disarmed.
-static ARMED: AtomicU8 = AtomicU8::new(0);
-
-/// Transitions retained in the log; older ones are dropped and counted.
-pub const TRANSITION_LOG: usize = 256;
-
-/// Journal chunk-id base for SLO alert events: objective `i` journals to
-/// chunk `JOURNAL_BASE + i`, far above any real chunk index, so alert
-/// chains and chunk chains share one sequence-ordered journal without
-/// id collisions.
-pub const JOURNAL_BASE: u64 = 1 << 62;
 
 /// Comparison direction of an objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,18 +270,46 @@ impl SloSpec {
 
     /// The spec the process should run: `QCF_SLO` when set (inline rules,
     /// or `@path`/path to a rules file), the built-in defaults otherwise.
-    /// A malformed env spec is reported once on stderr and ignored.
-    pub fn active() -> Self {
+    /// A malformed env spec is an error, never a silent fall-back to the
+    /// defaults.
+    pub fn active() -> Result<Self, String> {
         match std::env::var("QCF_SLO") {
-            Ok(raw) if !raw.trim().is_empty() => match Self::from_env_value(&raw) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    eprintln!("QCF_SLO ignored: {e}");
-                    Self::defaults()
-                }
-            },
-            _ => Self::defaults(),
+            Ok(raw) if !raw.trim().is_empty() => {
+                Self::from_env_value(&raw).map_err(|e| format!("QCF_SLO is malformed: {e}"))
+            }
+            _ => Ok(Self::defaults()),
         }
+    }
+
+    /// Refuses a quantile objective its histogram cannot resolve: for
+    /// every `pNN(KEY)` whose histogram is in `snap`, the threshold must
+    /// not exceed that histogram's last finite bucket bound. Past it, an
+    /// observation lands in the overflow bucket and the quantile reads
+    /// `+inf` whether or not the target was met.
+    pub fn check_coverage(&self, snap: &Snapshot) -> Result<(), String> {
+        for o in &self.objectives {
+            let Expr::Quantile(key, _) = &o.expr else {
+                continue;
+            };
+            let Some(h) = snap.histograms.get(key) else {
+                continue;
+            };
+            let last_finite = h
+                .buckets
+                .iter()
+                .map(|&(bound, _)| bound)
+                .filter(|b| b.is_finite())
+                .fold(f64::NEG_INFINITY, f64::max);
+            if o.threshold > last_finite {
+                return Err(format!(
+                    "objective {}: threshold {} exceeds {key}'s last finite bucket bound {}",
+                    o.name,
+                    fmt_threshold(o.threshold),
+                    fmt_threshold(last_finite)
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Parses an env-style value: `@path` or a readable file path loads
@@ -604,16 +613,6 @@ impl AlertState {
             AlertState::Resolved => "resolved",
         }
     }
-
-    /// Stable numeric code for the `slo.state.<name>` gauges.
-    pub fn code(self) -> i64 {
-        match self {
-            AlertState::Ok => 0,
-            AlertState::Pending => 1,
-            AlertState::Firing => 2,
-            AlertState::Resolved => 3,
-        }
-    }
 }
 
 /// One recorded lifecycle transition.
@@ -707,7 +706,7 @@ impl Machine {
     }
 }
 
-/// Point-in-time view of one alert (from [`alerts`] or a replay report).
+/// Final view of one alert in a replay report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertSnapshot {
     /// The objective (name, expression, target).
@@ -799,9 +798,9 @@ fn eval_tick(
 
 /// Replays the full lifecycle of `spec` over a finished ring: one tick
 /// per sample, windows clamped to the available prefix. Pure — no
-/// registry, journal or flight side effects — and deterministic for a
-/// given ring, which makes it the verdict path for `qcfz slo`, `qcfz
-/// report` and tests.
+/// registry or journal side effects — and deterministic for a given
+/// ring, which makes it the verdict path for `qcfz slo`, `qcfz top`,
+/// `qcfz report` and tests.
 pub fn evaluate_ring(spec: &SloSpec, samples: &[Sample]) -> SloReport {
     let mut machines: Vec<Machine> = vec![Machine::default(); spec.objectives.len()];
     let mut transitions = Vec::new();
@@ -845,220 +844,6 @@ pub fn evaluate_ring(spec: &SloSpec, samples: &[Sample]) -> SloReport {
         ticks: samples.len() as u64,
         breaches,
         transitions,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Live engine
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct Engine {
-    spec: SloSpec,
-    machines: Vec<Machine>,
-    ticks: u64,
-    log: VecDeque<Transition>,
-    log_dropped: u64,
-}
-
-fn engine() -> &'static Mutex<Engine> {
-    static ENGINE: OnceLock<Mutex<Engine>> = OnceLock::new();
-    ENGINE.get_or_init(|| Mutex::new(Engine::default()))
-}
-
-fn lock_engine() -> MutexGuard<'static, Engine> {
-    engine().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// True when the live evaluator is armed. Initialized on first call from
-/// `QCF_SLO` (unset ⇒ disarmed); one relaxed atomic load on every later
-/// call — the entire disarmed cost of [`tick`].
-#[inline]
-pub fn armed() -> bool {
-    match ARMED.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => init_armed(),
-    }
-}
-
-#[cold]
-fn init_armed() -> bool {
-    let set = std::env::var("QCF_SLO").map(|v| !v.trim().is_empty()) == Ok(true);
-    if !set {
-        ARMED.store(2, Ordering::Relaxed);
-        return false;
-    }
-    arm(SloSpec::active());
-    true
-}
-
-/// Arms the live evaluator with `spec`, replacing any previous spec and
-/// resetting all machines.
-pub fn arm(spec: SloSpec) {
-    let mut eng = lock_engine();
-    eng.machines = vec![Machine::default(); spec.objectives.len()];
-    eng.spec = spec;
-    eng.ticks = 0;
-    eng.log.clear();
-    eng.log_dropped = 0;
-    ARMED.store(1, Ordering::Relaxed);
-}
-
-/// Arms with the active spec (`QCF_SLO` or defaults) unless already
-/// armed. `qcfz top` / `qcfz slo` call this so the live pane works with
-/// no environment setup.
-pub fn arm_active() {
-    if !armed() {
-        arm(SloSpec::active());
-    }
-}
-
-/// Disarms the evaluator and clears all state.
-pub fn disarm() {
-    *lock_engine() = Engine::default();
-    ARMED.store(2, Ordering::Relaxed);
-}
-
-/// Clears machines, tick counts and the transition log but keeps the
-/// armed spec — run isolation ([`crate::reset`] calls this so `qcfz
-/// report` phases judge only their own samples).
-pub fn reset_state() {
-    let mut eng = lock_engine();
-    eng.machines = vec![Machine::default(); eng.spec.objectives.len()];
-    eng.ticks = 0;
-    eng.log.clear();
-    eng.log_dropped = 0;
-}
-
-/// The armed spec, when armed.
-pub fn active_spec() -> Option<SloSpec> {
-    armed().then(|| lock_engine().spec.clone())
-}
-
-/// Live per-alert snapshots (empty when disarmed).
-pub fn alerts() -> Vec<AlertSnapshot> {
-    if !armed() {
-        return Vec::new();
-    }
-    let eng = lock_engine();
-    eng.spec
-        .objectives
-        .iter()
-        .zip(&eng.machines)
-        .map(|(obj, m)| AlertSnapshot {
-            objective: obj.clone(),
-            state: m.state(),
-            fast: m.last_fast,
-            slow: m.last_slow,
-            breach_ticks: m.breach_ticks,
-            transitions: m.transitions,
-        })
-        .collect()
-}
-
-/// The retained transition log, oldest first, plus the dropped count.
-pub fn transitions() -> (Vec<Transition>, u64) {
-    let eng = lock_engine();
-    (eng.log.iter().cloned().collect(), eng.log_dropped)
-}
-
-/// Live evaluation ticks run so far.
-pub fn ticks() -> u64 {
-    lock_engine().ticks
-}
-
-/// One live evaluation tick over the current sampler ring. The sampler
-/// calls this after each retained capture; disarmed it is exactly one
-/// relaxed atomic load.
-#[inline]
-pub fn tick() {
-    if !armed() {
-        return;
-    }
-    tick_armed();
-}
-
-#[cold]
-fn tick_armed() {
-    let samples = crate::timeseries::samples();
-    if samples.is_empty() {
-        return;
-    }
-    let reg = crate::metrics::registry();
-    let mut fired = Vec::new();
-    {
-        let mut eng = lock_engine();
-        let end = samples.len();
-        let tick_idx = eng.ticks;
-        eng.ticks += 1;
-        let spec = eng.spec.clone();
-        let mut tick_breaches = 0u64;
-        for (i, obj) in spec.objectives.iter().enumerate() {
-            let (fast, slow, breach) = eval_tick(&spec, obj, &samples, end);
-            let m = &mut eng.machines[i];
-            m.last_fast = fast;
-            m.last_slow = slow;
-            if breach == Some(true) {
-                tick_breaches += 1;
-                reg.counter(&format!("slo.breach.{}", obj.name)).inc();
-            }
-            if let Some((from, to)) = m.step(breach, &spec) {
-                let t = Transition {
-                    tick: tick_idx,
-                    t_us: samples[end - 1].t_us,
-                    name: obj.name.clone(),
-                    from,
-                    to,
-                    fast,
-                    slow,
-                };
-                if eng.log.len() == TRANSITION_LOG {
-                    eng.log.pop_front();
-                    eng.log_dropped += 1;
-                }
-                eng.log.push_back(t.clone());
-                fired.push((i as u64, t));
-            }
-            reg.gauge(&format!("slo.state.{}", obj.name))
-                .set(eng.machines[i].state().code());
-            if fast.is_finite() {
-                reg.float_gauge(&format!("slo.value.{}", obj.name))
-                    .set(fast);
-            }
-        }
-        reg.counter("slo.ticks").inc();
-        reg.counter("slo.breaches").add(tick_breaches);
-        let pending = eng
-            .machines
-            .iter()
-            .filter(|m| m.state() == AlertState::Pending)
-            .count();
-        let firing = eng
-            .machines
-            .iter()
-            .filter(|m| m.state() == AlertState::Firing)
-            .count();
-        reg.gauge("slo.pending").set(pending as i64);
-        reg.gauge("slo.firing").set(firing as i64);
-        if !fired.is_empty() {
-            reg.counter("slo.transitions").add(fired.len() as u64);
-        }
-    }
-    // Journal + flight outside the engine lock: both take their own
-    // locks and must never nest inside ours.
-    for (idx, t) in fired {
-        crate::journal::record(
-            JOURNAL_BASE + idx,
-            crate::journal::EventKind::Slo,
-            t.to.code() as f64,
-        );
-        crate::flight::record(&format!(
-            "slo:{}:{}->{}",
-            t.name,
-            t.from.label(),
-            t.to.label()
-        ));
     }
 }
 
@@ -1262,79 +1047,27 @@ mod tests {
     }
 
     #[test]
-    fn live_tick_disarmed_is_inert_and_armed_accounts_exactly() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-        disarm();
-        tick(); // disarmed: no state, no registry writes
-        assert_eq!(ticks(), 0);
-        assert!(alerts().is_empty());
-
-        arm(
-            SloSpec::parse("windows=1/2; pending=2; resolve=2; hot: telemetry.slo.test <= 5")
-                .unwrap(),
+    fn quantile_target_beyond_last_finite_bucket_is_refused() {
+        let spec = SloSpec::parse("lat: p99(state.apply_us) <= 100000").unwrap();
+        let mut snap = Snapshot::default();
+        // No such histogram in the run: nothing to refuse.
+        assert!(spec.check_coverage(&snap).is_ok());
+        // Buckets top out at 10 ms: a 100 ms p99 target cannot be resolved.
+        snap.histograms.insert(
+            "state.apply_us".into(),
+            crate::metrics::HistogramSnapshot {
+                count: 0,
+                dropped: 0,
+                sum: 0.0,
+                mean: 0.0,
+                buckets: vec![(1_000.0, 0), (10_000.0, 0), (f64::INFINITY, 0)],
+            },
         );
-        let c = crate::metrics::registry().counter("telemetry.slo.test");
-        for i in 0..6 {
-            if i >= 2 {
-                c.add(10);
-            }
-            crate::timeseries::capture(); // capture drives tick()
+        let err = spec.check_coverage(&snap).unwrap_err();
+        for part in ["lat", "100000", "state.apply_us", "10000"] {
+            assert!(err.contains(part), "{err:?} should name {part}");
         }
-        let snap = crate::metrics::registry().snapshot();
-        assert_eq!(snap.counters.get("slo.ticks"), Some(&6));
-        let live = alerts();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].state, AlertState::Firing);
-        assert_eq!(
-            snap.gauges.get("slo.firing").map(|&(v, _)| v),
-            Some(1),
-            "firing gauge must track the machine"
-        );
-        assert_eq!(
-            snap.counters.get("slo.breach.hot").copied().unwrap_or(0),
-            live[0].breach_ticks,
-            "per-alert breach counter must match the machine exactly"
-        );
-        let (log, dropped) = transitions();
-        assert_eq!(dropped, 0);
-        assert_eq!(log.len() as u64, live[0].transitions);
-        assert_eq!(
-            snap.counters.get("slo.transitions").copied().unwrap_or(0),
-            log.len() as u64
-        );
-        // Replaying the finished ring reaches the same final state.
-        let replay = evaluate_ring(&active_spec().unwrap(), &crate::timeseries::samples());
-        assert_eq!(replay.alerts[0].state, AlertState::Firing);
-        disarm();
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-    }
-
-    #[test]
-    fn transitions_become_journal_events_and_flight_frames() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        crate::journal::set_enabled(true);
-        crate::journal::reset();
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
-        arm(
-            SloSpec::parse("windows=1/1; pending=1; resolve=1; hot: telemetry.slo.j <= 0").unwrap(),
-        );
-        let c = crate::metrics::registry().counter("telemetry.slo.j");
-        c.add(3);
-        crate::timeseries::capture();
-        let ev = crate::journal::events(JOURNAL_BASE);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].kind, crate::journal::EventKind::Slo);
-        assert_eq!(ev[0].detail, AlertState::Firing.code() as f64);
-        disarm();
-        crate::journal::reset();
-        crate::journal::set_enabled(false);
-        crate::timeseries::reset();
-        crate::metrics::registry().reset_values();
+        let covered = SloSpec::parse("lat: p99(state.apply_us) <= 10000").unwrap();
+        assert!(covered.check_coverage(&snap).is_ok());
     }
 }

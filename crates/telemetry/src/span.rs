@@ -61,15 +61,10 @@ pub fn lane_id() -> u32 {
 }
 
 /// Microseconds since the process telemetry epoch (first telemetry use) —
-/// the same clock span events timestamp with, so flight-recorder frames
-/// line up with the trace.
+/// the same clock span events timestamp with, so sampler ticks line up
+/// with the trace.
 pub fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
-}
-
-/// Number of span events currently buffered.
-pub fn buffered() -> usize {
-    lock_unpoisoned(buffer()).len()
 }
 
 /// Splits a span name into its category (the segment before the first `.`,

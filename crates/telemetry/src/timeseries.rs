@@ -14,8 +14,7 @@
 //! retained sample is discarded and the keep-stride doubles, so a run of
 //! any length is always covered end to end by ≤ `CAPACITY` samples at a
 //! self-adjusting effective interval (`interval_ms · stride`). The newest
-//! samples are always at full stride resolution — `tail(n)` is what the
-//! flight recorder embeds in post-mortem dumps.
+//! samples are always at full stride resolution.
 //!
 //! ## Arming and lifecycle
 //!
@@ -41,8 +40,7 @@ pub const CAPACITY: usize = 512;
 /// One captured sample: the registry frozen at one instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
-    /// Microseconds since the telemetry epoch (same clock as spans and
-    /// flight frames).
+    /// Microseconds since the telemetry epoch (same clock as spans).
     pub t_us: u64,
     /// Full metrics registry snapshot.
     pub metrics: Snapshot,
@@ -82,7 +80,6 @@ fn ring() -> &'static Mutex<Ring> {
 struct SamplerHandle {
     stop: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<()>,
-    interval_ms: u64,
 }
 
 fn sampler() -> &'static Mutex<Option<SamplerHandle>> {
@@ -113,20 +110,15 @@ pub fn arm_from_env() -> bool {
 
 /// Captures one sample into the ring immediately (the sampler thread's
 /// tick body; also used by `qcfz top --once` to guarantee a frame without
-/// waiting out an interval). No-op while telemetry is disabled. A
-/// retained capture also drives one SLO evaluation tick — a relaxed
-/// atomic load and nothing more while [`crate::slo`] is disarmed.
+/// waiting out an interval). No-op while telemetry is disabled.
 pub fn capture() {
     if !crate::enabled() {
         return;
     }
-    let sample = Sample {
+    offer(Sample {
         t_us: crate::span::now_us(),
         metrics: crate::metrics::registry().snapshot(),
-    };
-    if offer(sample) {
-        crate::slo::tick();
-    }
+    });
 }
 
 /// Offers one sample to the ring, returning whether it was retained
@@ -198,11 +190,7 @@ pub fn start(interval_ms: u64) -> bool {
             }
         })
         .expect("spawn sampler thread");
-    *slot = Some(SamplerHandle {
-        stop,
-        thread,
-        interval_ms,
-    });
+    *slot = Some(SamplerHandle { stop, thread });
     true
 }
 
@@ -227,26 +215,9 @@ pub fn is_running() -> bool {
     lock_unpoisoned(sampler()).is_some()
 }
 
-/// The running sampler's interval, when one is active.
-pub fn interval_ms() -> Option<u64> {
-    lock_unpoisoned(sampler()).as_ref().map(|h| h.interval_ms)
-}
-
 /// All retained samples, oldest first.
 pub fn samples() -> Vec<Sample> {
     lock_unpoisoned(ring()).samples.iter().cloned().collect()
-}
-
-/// The newest retained sample.
-pub fn latest() -> Option<Sample> {
-    lock_unpoisoned(ring()).samples.back().cloned()
-}
-
-/// The newest `n` samples, oldest first (the flight recorder's tail).
-pub fn tail(n: usize) -> Vec<Sample> {
-    let ring = lock_unpoisoned(ring());
-    let skip = ring.samples.len().saturating_sub(n);
-    ring.samples.iter().skip(skip).cloned().collect()
 }
 
 /// Retained sample count.
@@ -323,7 +294,6 @@ mod tests {
         reset();
         assert!(start(1));
         assert!(is_running());
-        assert_eq!(interval_ms(), Some(1));
         assert!(!start(5), "second start is a no-op while running");
         std::thread::sleep(Duration::from_millis(30));
         assert!(stop());
@@ -343,21 +313,5 @@ mod tests {
         capture();
         assert_eq!(len(), 0);
         crate::set_enabled(true);
-    }
-
-    #[test]
-    fn tail_returns_newest() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        reset();
-        for _ in 0..10 {
-            capture();
-        }
-        let t = tail(3);
-        assert_eq!(t.len(), 3);
-        let all = samples();
-        assert_eq!(t.last(), all.last());
-        assert_eq!(tail(100).len(), 10, "tail larger than ring is clamped");
-        reset();
     }
 }
