@@ -37,6 +37,14 @@ QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_regression
 QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_arena
 QCF_WORKERS=1 cargo test --release -q -p qcf-bench --test alloc_cusz_table
 
+# A tiny QCF-ratio round trip (4 complex values) must cost what its
+# tensor costs: a byte bound on its allocations catches a per-call table
+# coming back, and a peak-worker check catches a plane thread spawned
+# below one stage block. QCF_WORKERS=4 makes the spawn check bind on any
+# host.
+echo "== small-call gate (release, QCF_WORKERS=4) =="
+QCF_WORKERS=4 cargo test --release -q -p qcf-bench --test alloc_small_call
+
 # The benchmark crate lives outside the workspace but implements the
 # Compressor trait (its timing wrapper), so a trait change must keep it
 # building and its own tests passing.
@@ -48,6 +56,13 @@ cargo test --offline --manifest-path qcfbench/Cargo.toml
 # references, and parallel streams identical to serial ones.
 echo "== parallel bench smoke (kernel bit-identity) =="
 cargo bench -q -p qcf-bench --bench parallel -- --smoke
+
+# The kernel bit-identity proofs again, optimised: the benchmark and
+# users run release builds, where float reductions and NaN propagation
+# can differ from debug.
+echo "== release-mode kernel proofs =="
+cargo test --release -q -p compressors --test kernel_proptests
+cargo test --release -q -p codec-kit --test codec_proptests
 
 # Chaos gate. First the decode fuzzers: no panic and no unbounded
 # allocation on arbitrary/mutated/truncated bytes through every decoder.

@@ -158,7 +158,7 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| {
             let mut w = BitWriter::with_capacity(n);
             for block in data.chunks(128) {
-                encode_block_scalar(black_box(block), eb, twoeb, &mut w);
+                encode_block_scalar(black_box(block), eb, twoeb, &mut w).unwrap();
             }
             w.finish()
         })
@@ -168,7 +168,7 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| {
             let mut w = BitWriter::with_capacity(n);
             for block in data.chunks(128) {
-                encode_block(black_box(block), eb, twoeb, &mut scratch, &mut w);
+                encode_block(black_box(block), eb, twoeb, &mut scratch, &mut w).unwrap();
             }
             w.finish()
         })
@@ -297,8 +297,8 @@ fn smoke() {
     let mut wv = BitWriter::with_capacity(n);
     let mut scratch = vec![0u64; 128];
     for block in data.chunks(128) {
-        encode_block_scalar(block, eb, twoeb, &mut wr);
-        encode_block(block, eb, twoeb, &mut scratch, &mut wv);
+        encode_block_scalar(block, eb, twoeb, &mut wr).unwrap();
+        encode_block(block, eb, twoeb, &mut scratch, &mut wv).unwrap();
     }
     let (sref, svec) = (wr.finish(), wv.finish());
     assert_eq!(svec, sref, "szx_encode vector != scalar");

@@ -948,19 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_state_detects_injected_bitflip() {
-        let _g = qcf_telemetry::faults::chaos_guard();
-        qcf_telemetry::faults::arm_from_spec("seed=5,state.chunk.bitflip@3").unwrap();
-        let s = verify_state(8, 3, 3, "LZ4", ErrorBound::Abs(0.0), Some(2), None).unwrap();
-        // verify_state disarms after the run; re-disarm is harmless.
-        qcf_telemetry::faults::disarm();
-        assert_eq!(s.injected_bitflips, 1, "@3 fires exactly once");
-        assert!(s.ok(), "detection contract failed: {s:?}");
-        assert!(s.faults.decode_errors >= 1, "bitflip went undetected");
-        assert!(s.settled);
-    }
-
-    #[test]
     fn state_demo_reports_tier_breakdown() {
         let mut cfg = StateRunCfg::new(8, 5, 4, "LZ4");
         cfg.bound = ErrorBound::Abs(0.0);

@@ -9,6 +9,7 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::error::CodecError;
 use crate::varint::{read_uvarint, write_uvarint};
+use std::sync::OnceLock;
 
 /// Maximum canonical code length (DEFLATE's limit; decode table = 2^15).
 pub const MAX_CODE_LEN: u32 = 15;
@@ -294,8 +295,12 @@ pub struct HuffmanDecoder {
     /// [`decode_symbol`]: HuffmanDecoder::decode_symbol
     table: Vec<(u32, u8)>,
     /// Multi-symbol prefix table indexed by [`DECODE_LUT_BITS`] peeked
-    /// bits; empty when `max_len == 0`.
-    lut: Vec<LutEntry>,
+    /// bits, built on the first [`decode_into`] call: symbol-at-a-time
+    /// callers (GDeflate's inflate) never read it, and at 4096 entries it
+    /// would dominate the cost of decoding a small stream.
+    ///
+    /// [`decode_into`]: HuffmanDecoder::decode_into
+    lut: OnceLock<Vec<LutEntry>>,
     max_len: u32,
 }
 
@@ -306,7 +311,7 @@ impl HuffmanDecoder {
         if max_len == 0 {
             return Ok(HuffmanDecoder {
                 table: Vec::new(),
-                lut: Vec::new(),
+                lut: OnceLock::new(),
                 max_len: 0,
             });
         }
@@ -336,10 +341,9 @@ impl HuffmanDecoder {
                 idx += step;
             }
         }
-        let lut = build_lut(&table, max_len);
         Ok(HuffmanDecoder {
             table,
-            lut,
+            lut: OnceLock::new(),
             max_len,
         })
     }
@@ -392,6 +396,7 @@ impl HuffmanDecoder {
     /// The hot path peeks [`DECODE_LUT_BITS`] bits and resolves every code
     /// contained in the window with one table hit — several symbols per
     /// lookup on skewed data — instead of one max-len peek per symbol. The
+    /// first call on a decoder builds that prefix table. The
     /// fast path only engages when the reader still holds a full window
     /// and the entry does not overshoot the requested symbol count, so
     /// stream-end handling, exact-`n` semantics, and all error cases fall
@@ -406,10 +411,13 @@ impl HuffmanDecoder {
             }
             return Err(CodecError::Corrupt("decode with empty code"));
         }
+        let lut = self
+            .lut
+            .get_or_init(|| build_lut(&self.table, self.max_len));
         let mut i = 0usize;
         while i < n {
             if r.remaining_bits() >= DECODE_LUT_BITS as usize {
-                let e = &self.lut[r.peek_bits(DECODE_LUT_BITS) as usize];
+                let e = &lut[r.peek_bits(DECODE_LUT_BITS) as usize];
                 let c = e.count as usize;
                 if c > 0 && c <= n - i {
                     // Every packed code lies inside the peeked window, so

@@ -51,26 +51,125 @@ impl Default for LzConfig {
 
 const HASH_BITS: u32 = 15;
 
+/// Inputs shorter than this many bytes keep their chain heads in a
+/// [`SparseHeads`] table sized to the input instead of the dense
+/// `2^HASH_BITS` array, whose 256 KiB clear would otherwise dominate the
+/// parse of a small buffer. Set from a measured sweep of both layouts
+/// over input sizes (see CHANGES.md); the token stream is identical
+/// either way.
+const SPARSE_HEADS_BELOW: usize = 2048;
+
 #[inline]
 fn hash4(bytes: &[u8]) -> usize {
     let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// The most recent input position per [`hash4`] value — the head of each
+/// hash chain. `usize::MAX` means the chain is empty.
+trait ChainHeads {
+    fn get(&self, h: usize) -> usize;
+    /// Makes `pos` the head of chain `h`; returns the previous head.
+    fn replace(&mut self, h: usize, pos: usize) -> usize;
+}
+
+/// One slot per hash value: O(1) access, `2^HASH_BITS` words to clear.
+struct DenseHeads(Vec<usize>);
+
+impl ChainHeads for DenseHeads {
+    #[inline]
+    fn get(&self, h: usize) -> usize {
+        self.0[h]
+    }
+
+    #[inline]
+    fn replace(&mut self, h: usize, pos: usize) -> usize {
+        std::mem::replace(&mut self.0[h], pos)
+    }
+}
+
+/// Open-addressed `hash → position` table with linear probing, sized to
+/// at least twice the positions that can be inserted, so it never fills
+/// and stays at most half full. Positions fit in `u32` because only
+/// inputs below [`SPARSE_HEADS_BELOW`] use it.
+struct SparseHeads {
+    /// `(hash, position)`; an empty slot holds `EMPTY` as its hash.
+    slots: Vec<(u16, u32)>,
+    mask: usize,
+}
+
+impl SparseHeads {
+    const EMPTY: u16 = u16::MAX;
+
+    fn for_len(n: usize) -> Self {
+        let cap = (2 * n).next_power_of_two();
+        SparseHeads {
+            slots: vec![(Self::EMPTY, 0); cap],
+            mask: cap - 1,
+        }
+    }
+
+    #[inline]
+    fn pos((key, pos): (u16, u32)) -> usize {
+        if key == Self::EMPTY {
+            usize::MAX
+        } else {
+            pos as usize
+        }
+    }
+
+    /// The slot holding `h`, or the empty slot where it belongs.
+    #[inline]
+    fn slot(&self, h: usize) -> usize {
+        let mut i = h & self.mask;
+        loop {
+            let key = self.slots[i].0;
+            if key == h as u16 || key == Self::EMPTY {
+                return i;
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+}
+
+impl ChainHeads for SparseHeads {
+    #[inline]
+    fn get(&self, h: usize) -> usize {
+        Self::pos(self.slots[self.slot(h)])
+    }
+
+    #[inline]
+    fn replace(&mut self, h: usize, pos: usize) -> usize {
+        let i = self.slot(h);
+        Self::pos(std::mem::replace(
+            &mut self.slots[i],
+            (h as u16, pos as u32),
+        ))
+    }
+}
+
 /// Greedy LZ77 parse of `data`.
 ///
 /// Adjacent literals are coalesced into single [`LzToken::Literal`] tokens;
 /// the concatenation of tokens reproduces the input exactly (verified by
-/// [`expand`]).
+/// [`expand`]). Setup is sized to the input: short inputs keep their chain
+/// heads in a small hash table rather than clearing the dense one.
 pub fn find_matches(data: &[u8], cfg: &LzConfig) -> Vec<LzToken> {
     assert!(cfg.min_match >= 4, "hash covers 4 bytes");
     let n = data.len();
-    let mut tokens = Vec::new();
     if n == 0 {
-        return tokens;
+        return Vec::new();
     }
+    if n < SPARSE_HEADS_BELOW {
+        parse(data, cfg, SparseHeads::for_len(n))
+    } else {
+        parse(data, cfg, DenseHeads(vec![usize::MAX; 1 << HASH_BITS]))
+    }
+}
 
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+fn parse(data: &[u8], cfg: &LzConfig, mut head: impl ChainHeads) -> Vec<LzToken> {
+    let n = data.len();
+    let mut tokens = Vec::new();
     let mut prev = vec![usize::MAX; n];
     let mut lit_start = 0usize;
     let mut i = 0usize;
@@ -86,7 +185,7 @@ pub fn find_matches(data: &[u8], cfg: &LzConfig) -> Vec<LzToken> {
 
     while i + cfg.min_match <= n {
         let h = hash4(&data[i..]);
-        let mut cand = head[h];
+        let mut cand = head.get(h);
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut depth = 0usize;
@@ -122,16 +221,13 @@ pub fn find_matches(data: &[u8], cfg: &LzConfig) -> Vec<LzToken> {
             let end = i + best_len;
             let insert_end = end.min(i + 256).min(n.saturating_sub(cfg.min_match - 1));
             while i < insert_end {
-                let h = hash4(&data[i..]);
-                prev[i] = head[h];
-                head[h] = i;
+                prev[i] = head.replace(hash4(&data[i..]), i);
                 i += 1;
             }
             i = end;
             lit_start = end;
         } else {
-            prev[i] = head[h];
-            head[h] = i;
+            prev[i] = head.replace(h, i);
             i += 1;
         }
     }
@@ -222,6 +318,30 @@ mod tests {
             match_bytes < data.len() / 8,
             "random data matched {match_bytes} bytes"
         );
+    }
+
+    #[test]
+    fn sparse_and_dense_heads_parse_identically() {
+        // The head layout is storage only: on every input the sparse table
+        // must reproduce the dense table's token stream, including hash
+        // collisions and inputs on both sides of the crossover.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let cfg = LzConfig::default();
+        for n in [1usize, 4, 5, 17, 100, 640, 2047, 2048, 3000] {
+            let noise: Vec<u8> = (0..n).map(|_| rng.gen()).collect();
+            let small: Vec<u8> = (0..n).map(|_| rng.gen_range(0..4u8)).collect();
+            let floats: Vec<u8> = (0..n.div_ceil(8))
+                .flat_map(|i| ((i % 13) as f64 * 0.37).to_le_bytes())
+                .take(n)
+                .collect();
+            for data in [noise, small, floats] {
+                let dense = parse(&data, &cfg, DenseHeads(vec![usize::MAX; 1 << HASH_BITS]));
+                let sparse = parse(&data, &cfg, SparseHeads::for_len(n));
+                assert_eq!(sparse, dense, "n = {n}");
+                assert_eq!(find_matches(&data, &cfg), dense, "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl Compressor for CuSzx {
                 || {
                     let twoeb = 2.0 * eb;
                     let mut w = BitWriter::from_vec(std::mem::take(out));
+                    let mut status = Ok(());
                     if worker_count() == 1 {
                         // Serial fast path: every block encodes straight
                         // into the output writer, with one arena-backed code
@@ -114,25 +115,33 @@ impl Compressor for CuSzx {
                             let mut blocks = data.chunks(bs);
                             serial_for_blocks(n.div_ceil(bs), |_| {
                                 let block = blocks.next().expect("block count matches chunks");
-                                encode_block(block, eb, twoeb, scratch, &mut w);
+                                if status.is_ok() {
+                                    status = encode_block(block, eb, twoeb, scratch, &mut w);
+                                }
                             });
                         });
                     } else {
+                        // `None` marks a block the encoder refused.
                         let parts = par_map_blocks(data, bs, |_, block| {
                             let mut scratch = vec![0u64; block.len()];
                             let mut w = BitWriter::with_capacity(block.len());
-                            encode_block(block, eb, twoeb, &mut scratch, &mut w);
-                            w
+                            encode_block(block, eb, twoeb, &mut scratch, &mut w)
+                                .ok()
+                                .map(|()| w)
                         });
-                        for part in &parts {
-                            w.append(part);
+                        if parts.iter().any(Option::is_none) {
+                            status = Err(NON_FINITE_MEAN);
+                        } else {
+                            parts.iter().flatten().for_each(|part| w.append(part));
                         }
                     }
+                    // Hand the buffer back even on refusal: the length
+                    // prefix is written around whatever `out` holds.
                     *out = w.finish();
+                    status
                 },
             )
-        });
-        Ok(())
+        })
     }
 
     fn decompress_raw_into(
@@ -184,6 +193,11 @@ impl Compressor for CuSzx {
 /// Width of the unrolled block-kernel inner loops.
 const LANES: usize = 8;
 
+/// The encoders' refusal of a block whose mean is not finite (a NaN or an
+/// infinity in the block, or a sum that overflows): the decoders reject
+/// such a mean as corrupt, so no stream may carry one.
+const NON_FINITE_MEAN: CodecError = CodecError::Unsupported("non-finite block mean");
+
 /// Block mean via an eight-lane sum tree.
 ///
 /// This reduction order — lane `j` accumulates elements `j`, `j+8`,
@@ -209,6 +223,7 @@ fn quant_dev(v: f64, mean: f64, twoeb: f64) -> u64 {
 }
 
 /// Scalar reference for [`encode_block`]: simple loops, same stream bytes
+/// and the same refusal of a non-finite block mean, which writes nothing
 /// (proptested in `tests/kernel_proptests.rs`).
 ///
 /// The block radius is a `max` fold, which is order-insensitive down to
@@ -219,13 +234,21 @@ fn quant_dev(v: f64, mean: f64, twoeb: f64) -> u64 {
 /// capped width of 57 an adversarial deviation can exceed the width and
 /// `pack`'s debug assertion would reject what is identical masked output
 /// in release builds.
-pub fn encode_block_scalar(block: &[f64], eb: f64, twoeb: f64, w: &mut BitWriter) {
+pub fn encode_block_scalar(
+    block: &[f64],
+    eb: f64,
+    twoeb: f64,
+    w: &mut BitWriter,
+) -> Result<(), CodecError> {
     let mean = block_mean(block);
+    if !mean.is_finite() {
+        return Err(NON_FINITE_MEAN);
+    }
     let radius = block.iter().map(|&v| (v - mean).abs()).fold(0.0, f64::max);
     if radius <= eb {
         w.write_bit(true); // constant block
         w.write_u64(mean.to_bits());
-        return;
+        return Ok(());
     }
     w.write_bit(false);
     w.write_u64(mean.to_bits());
@@ -240,6 +263,7 @@ pub fn encode_block_scalar(block: &[f64], eb: f64, twoeb: f64, w: &mut BitWriter
     for &c in &codes {
         w.write_bits(c, width);
     }
+    Ok(())
 }
 
 /// The vectorized cuSZx block encoder: eight-lane unrolled stats and
@@ -253,7 +277,15 @@ pub fn encode_block_scalar(block: &[f64], eb: f64, twoeb: f64, w: &mut BitWriter
 /// leading_zeros(OR of all codes)` equals the max per-code width, one
 /// `u64` bit-trick instead of a per-element compare. When two codes fit
 /// the 57-bit writer limit they are fused into one `write_bits` call.
-pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: &mut BitWriter) {
+///
+/// A block whose mean is not finite is refused before anything is written.
+pub fn encode_block(
+    block: &[f64],
+    eb: f64,
+    twoeb: f64,
+    scratch: &mut [u64],
+    w: &mut BitWriter,
+) -> Result<(), CodecError> {
     let codes = &mut scratch[..block.len()];
     let n = block.len();
 
@@ -274,6 +306,9 @@ pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: 
     }
     let mean = (((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7])))
         / n as f64;
+    if !mean.is_finite() {
+        return Err(NON_FINITE_MEAN);
+    }
 
     // Pass 2: radius, eight max accumulators (order-insensitive; see the
     // scalar reference).
@@ -296,7 +331,7 @@ pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: 
     if radius <= eb {
         w.write_bit(true); // constant block
         w.write_u64(mean.to_bits());
-        return;
+        return Ok(());
     }
     w.write_bit(false);
     w.write_u64(mean.to_bits());
@@ -323,7 +358,7 @@ pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: 
     let width = (64 - orall.leading_zeros()).min(57);
     w.write_bits(width as u64, 6);
     if width == 0 {
-        return; // all-zero deviations pack to zero bits
+        return Ok(()); // all-zero deviations pack to zero bits
     }
     let mut k = 0usize;
     if 2 * width <= 57 {
@@ -340,6 +375,7 @@ pub fn encode_block(block: &[f64], eb: f64, twoeb: f64, scratch: &mut [u64], w: 
         w.write_bits(codes[k], width);
         k += 1;
     }
+    Ok(())
 }
 
 /// Scalar reference for [`decode_block`]: header, `bitpack::unpack` into a

@@ -79,10 +79,14 @@ proptest! {
     }
 }
 
-/// Three fixed inputs covering the codecs' main regimes: a smooth wave long
+/// Fixed inputs covering the codecs' main regimes: a smooth wave long
 /// enough to span several Huffman chunks, a QAOA-like small alphabet with
 /// runs of zeros, and wide-range pseudo-random values (LCG, no RNG crate).
-fn golden_inputs() -> [(&'static str, Vec<f64>); 3] {
+/// The tiny inputs (2, 8 and 32 values, and a 130-value small alphabet)
+/// are contraction-intermediate sized: they stay below one stage block, so
+/// QCF encodes their planes serially, and the LZ77 matcher sees inputs of
+/// a few hundred bytes at most.
+fn golden_inputs() -> [(&'static str, Vec<f64>); 7] {
     let wave = (0..10_000)
         .map(|i| (i as f64 * 0.013).sin() * 0.4)
         .collect();
@@ -103,7 +107,19 @@ fn golden_inputs() -> [(&'static str, Vec<f64>); 3] {
             ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e3
         })
         .collect();
-    [("wave", wave), ("sparse", sparse), ("noise", noise)]
+    let tiny = |n: usize| (0..n).map(|i| (i as f64 * 0.7).cos() * 0.3).collect();
+    let dict = (0..130usize)
+        .map(|i| alphabet[(i * i + i / 3) % alphabet.len()])
+        .collect();
+    [
+        ("wave", wave),
+        ("sparse", sparse),
+        ("noise", noise),
+        ("tiny2", tiny(2)),
+        ("tiny8", tiny(8)),
+        ("tiny32", tiny(32)),
+        ("dict130", dict),
+    ]
 }
 
 /// FNV-1a, 64-bit.
@@ -120,36 +136,80 @@ const GOLDEN: &[(&str, &str, usize, u64)] = &[
     ("cuSZ", "wave", 7060, 0xceec44681fea4d37),
     ("cuSZ", "sparse", 7872, 0xfae7acc0a11efef2),
     ("cuSZ", "noise", 4940, 0xd87d24a964468f6d),
+    ("cuSZ", "tiny2", 43, 0x2d6479e5aa201fcf),
+    ("cuSZ", "tiny8", 63, 0x1dbdee8abf6832cb),
+    ("cuSZ", "tiny32", 142, 0x991f0d34f98f46c4),
+    ("cuSZ", "dict130", 302, 0xdd3e222d3ea0abcd),
     ("cuSZx", "wave", 15271, 0x086d6993d6a61c31),
     ("cuSZx", "sparse", 6965, 0xf23e6a6427af6e4e),
     ("cuSZx", "noise", 3096, 0x010445033e691b05),
+    ("cuSZx", "tiny2", 35, 0x3e5fe3cc3da1f267),
+    ("cuSZx", "tiny8", 44, 0x95a5f74a63e7007d),
+    ("cuSZx", "tiny32", 80, 0x2d129a08d8f11f0f),
+    ("cuSZx", "dict130", 250, 0xa0b57f1816253b53),
     ("cuZFP", "wave", 31278, 0xb9bc85dc4fadfd19),
     ("cuZFP", "sparse", 12745, 0x6b757162168ffa25),
     ("cuZFP", "noise", 4610, 0xfa8043a66bc5d785),
+    ("cuZFP", "tiny2", 34, 0x0dcedc7068e76c19),
+    ("cuZFP", "tiny8", 47, 0xe225863332b43b6e),
+    ("cuZFP", "tiny32", 124, 0x861885770a3401d0),
+    ("cuZFP", "dict130", 464, 0x40dac2828db167f8),
     ("LZ4", "wave", 80290, 0x6bfb37f8636564cd),
     ("LZ4", "sparse", 353, 0x4f9acde37517ea03),
     ("LZ4", "noise", 8048, 0xe3cb7f78e17a6f8d),
+    ("LZ4", "tiny2", 28, 0x7d843687d2532d07),
+    ("LZ4", "tiny8", 77, 0x77770e5392537772),
+    ("LZ4", "tiny32", 270, 0x10088b326b94b003),
+    ("LZ4", "dict130", 58, 0xa117f6f292d91bfc),
     ("Snappy", "wave", 80088, 0x888e0c4f730fd6db),
     ("Snappy", "sparse", 1662, 0xa02c0c056171f591),
     ("Snappy", "noise", 8020, 0xa48a22092f56e490),
+    ("Snappy", "tiny2", 29, 0xfef5e5233b21f8d8),
+    ("Snappy", "tiny8", 77, 0x08f165a2fa44b787),
+    ("Snappy", "tiny32", 272, 0x9d9323ca1fd8325c),
+    ("Snappy", "dict130", 100, 0xff2ad272e01c7c68),
     ("GDeflate", "wave", 76153, 0xbc4c7f3442d41ef7),
     ("GDeflate", "sparse", 575, 0xf4cc977ad4411140),
     ("GDeflate", "noise", 7873, 0xa1f5b786d9391606),
+    ("GDeflate", "tiny2", 63, 0xe2ecf2bbcec01fa1),
+    ("GDeflate", "tiny8", 195, 0x0ebb264c86879130),
+    ("GDeflate", "tiny32", 513, 0xba054ec4b1206ea7),
+    ("GDeflate", "dict130", 105, 0x3d09d937ae2cd59b),
     ("Cascaded", "wave", 80014, 0xb8ae58ef593183fe),
     ("Cascaded", "sparse", 22951, 0xa8518a2ce0de0aaa),
     ("Cascaded", "noise", 8014, 0xd0e75eae42faa95c),
+    ("Cascaded", "tiny2", 29, 0x6b47a2572e6b8428),
+    ("Cascaded", "tiny8", 77, 0xaf4c6020cac31219),
+    ("Cascaded", "tiny32", 269, 0x4abb97226e826f57),
+    ("Cascaded", "dict130", 754, 0xbcd8e99202ad249c),
     ("Bitcomp", "wave", 74090, 0xfc25ace923056930),
     ("Bitcomp", "sparse", 32812, 0x3f775568f1132e01),
     ("Bitcomp", "noise", 8022, 0x09911d4ca09e057f),
+    ("Bitcomp", "tiny2", 30, 0x7cff70de5ecd0fad),
+    ("Bitcomp", "tiny8", 78, 0x7dc73ce0eec6776a),
+    ("Bitcomp", "tiny32", 271, 0x4148a3ed0dcd9a64),
+    ("Bitcomp", "dict130", 1057, 0x3bfb7e9809afa7bf),
     ("memcpy", "wave", 80013, 0x51c18164f38ccbb1),
     ("memcpy", "sparse", 32781, 0x1e9f3d83b0fe2f9a),
     ("memcpy", "noise", 8013, 0x6049c3f93a19275e),
+    ("memcpy", "tiny2", 28, 0xfe9b8269969291ad),
+    ("memcpy", "tiny8", 76, 0xfde054b63d1b4efe),
+    ("memcpy", "tiny32", 268, 0xfdc25b891001579c),
+    ("memcpy", "dict130", 1053, 0x2318abad475e29af),
     ("QCF-ratio", "wave", 21668, 0xa2b9ab041cbccd5a),
     ("QCF-ratio", "sparse", 309, 0xb7e6c4a9f58fabcc),
     ("QCF-ratio", "noise", 5270, 0x7164e11125d75c3e),
+    ("QCF-ratio", "tiny2", 79, 0x29f017f40190bc59),
+    ("QCF-ratio", "tiny8", 99, 0x9ccb8f0b2f742ac8),
+    ("QCF-ratio", "tiny32", 185, 0xcf1bea33b2aa68d8),
+    ("QCF-ratio", "dict130", 126, 0xd4915d476167990b),
     ("QCF-speed", "wave", 22910, 0xd9efeb2b7d5771e5),
     ("QCF-speed", "sparse", 1315, 0x22f2d8872a3f2a28),
     ("QCF-speed", "noise", 4956, 0xa5810e341f18205f),
+    ("QCF-speed", "tiny2", 51, 0xc25ec955e2ffee19),
+    ("QCF-speed", "tiny8", 65, 0x5dfb4e6b5fc04ae3),
+    ("QCF-speed", "tiny32", 127, 0x7c1031e1df319672),
+    ("QCF-speed", "dict130", 120, 0x226cddc360e762d5),
 ];
 
 #[test]
@@ -173,4 +233,34 @@ fn framed_streams_match_golden_digests() {
         got == GOLDEN,
         "framed streams differ from the golden digests; actual table:\n{table}"
     );
+}
+
+/// An encoder never emits a stream its own decoder rejects. On an input
+/// with one NaN, every codec either refuses at compress or round-trips;
+/// cuSZx (whose decoder rejects a non-finite block mean) and QCF-speed
+/// (which falls back to cuSZx) must refuse.
+#[test]
+fn nan_input_is_refused_at_compress_or_round_trips() {
+    let s = stream();
+    let mut data: Vec<f64> = (0..300).map(|i| (i as f64 * 0.05).sin() * 0.5).collect();
+    data[123] = f64::NAN;
+    let mut codecs = all_compressors();
+    codecs.push(Box::new(qcf_core::QcfCompressor::ratio()));
+    codecs.push(Box::new(qcf_core::QcfCompressor::speed()));
+    for comp in &codecs {
+        match comp.compress(&data, ErrorBound::Abs(1e-4), &s) {
+            Ok(bytes) => {
+                assert!(
+                    !["cuSZx", "QCF-speed"].contains(&comp.name()),
+                    "{} accepted a NaN input",
+                    comp.name()
+                );
+                let back = comp.decompress(&bytes, &s).unwrap_or_else(|e| {
+                    panic!("{} emitted a stream it cannot decode: {e}", comp.name())
+                });
+                assert_eq!(back.len(), data.len(), "{}", comp.name());
+            }
+            Err(e) => eprintln!("{} refuses a NaN input: {e}", comp.name()),
+        }
+    }
 }

@@ -62,13 +62,16 @@ proptest! {
         bs in prop_oneof![Just(16usize), Just(128usize), Just(333usize)],
         eb in prop_oneof![Just(1e-4f64), Just(1e-300f64)],
     ) {
+        // Per block: the same bytes, or the same refusal (a non-finite
+        // mean) with nothing written.
         let twoeb = 2.0 * eb;
         let mut wr = BitWriter::new();
         let mut wv = BitWriter::new();
         let mut scratch = vec![0u64; bs];
         for block in data.chunks(bs) {
-            encode_block_scalar(block, eb, twoeb, &mut wr);
-            encode_block(block, eb, twoeb, &mut scratch, &mut wv);
+            let res_ref = encode_block_scalar(block, eb, twoeb, &mut wr);
+            let res_vec = encode_block(block, eb, twoeb, &mut scratch, &mut wv);
+            prop_assert_eq!(res_vec, res_ref);
         }
         prop_assert_eq!(wv.finish(), wr.finish());
     }
@@ -87,7 +90,7 @@ proptest! {
         let mut lens = Vec::new();
         for block in data.chunks(bs) {
             if block_mean(block).is_finite() {
-                encode_block(block, eb, twoeb, &mut scratch, &mut w);
+                encode_block(block, eb, twoeb, &mut scratch, &mut w).unwrap();
                 lens.push(block.len());
             }
         }

@@ -22,7 +22,7 @@
 use crate::dict;
 use crate::stages::{
     dedup_blocks, deinterleave_into, interleave_into, read_refs, reassemble_blocks_into,
-    write_refs, zero_collapse, zero_frac,
+    write_refs, zero_collapse, zero_frac, STAGE_BLOCK,
 };
 use codec_kit::varint::{read_uvarint, write_uvarint};
 use codec_kit::CodecError;
@@ -495,8 +495,10 @@ impl QcfCompressor {
             // them concurrently into separate buffers and concatenate —
             // byte-identical to the sequential order. Stream time is charged
             // at submission (see `gpu_model::Stream`), so the virtual clock
-            // is unaffected by the overlap.
-            if gpu_model::exec::worker_count() > 1 {
+            // is unaffected by the overlap. Like the stage kernels, a plane
+            // shorter than one `STAGE_BLOCK` runs serially: below that, a
+            // thread spawn costs more than the plane's encode.
+            if n / 2 >= STAGE_BLOCK && gpu_model::exec::worker_count() > 1 {
                 gpu_model::exec::note_workers(2);
                 let (re_buf, im_buf) = std::thread::scope(|s| {
                     let im_task = s.spawn(move || {

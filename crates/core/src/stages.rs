@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Values per parallel block for the element-wise stage kernels. Every
 /// stage below decomposes by index arithmetic into independent blocks, so
 /// the output is bit-identical for any worker count (see `gpu_model::exec`).
-const STAGE_BLOCK: usize = 1 << 14;
+pub(crate) const STAGE_BLOCK: usize = 1 << 14;
 
 /// Flushes values with `|v| ≤ threshold` to exact `+0.0` in place.
 /// Returns the number of values collapsed.
