@@ -51,18 +51,21 @@ QCF_WORKERS=4 cargo test --release -q -p qcf-bench --test alloc_small_call
 echo "== benchmark crate tests =="
 cargo test --offline --manifest-path qcfbench/Cargo.toml
 
-# One pass over every bench workload with assertions instead of timing:
-# the vectorized codec kernels must stay bit-identical to their scalar
-# references, and parallel streams identical to serial ones.
-echo "== parallel bench smoke (kernel bit-identity) =="
-cargo bench -q -p qcf-bench --bench parallel -- --smoke
-
-# The kernel bit-identity proofs again, optimised: the benchmark and
-# users run release builds, where float reductions and NaN propagation
-# can differ from debug.
+# The bit-identity proofs again, optimised: the benchmark and users run
+# release builds, where float reductions and NaN propagation can differ
+# from debug. Vectorized cuSZ dual-quant and cuSZx block kernels against
+# their scalar references (kernel_proptests), the Huffman LUT decoder
+# against symbol-at-a-time decode (huffman unit tests), and, on four
+# workers, the cuSZ/cuSZx/QCF streams against their golden digests
+# (into_proptests) and parallel contract/multiply_keep against their
+# serial references.
 echo "== release-mode kernel proofs =="
 cargo test --release -q -p compressors --test kernel_proptests
 cargo test --release -q -p codec-kit --test codec_proptests
+cargo test --release -q -p codec-kit --lib huffman
+QCF_WORKERS=4 cargo test --release -q -p compressors --test into_proptests
+QCF_WORKERS=4 cargo test --release -q --test proptests \
+    large_contract_and_multiply_bit_identical_to_serial
 
 # Chaos gate. First the decode fuzzers: no panic and no unbounded
 # allocation on arbitrary/mutated/truncated bytes through every decoder.
@@ -173,7 +176,7 @@ fi
 # for `--metrics`: a failing run must still write its registry as
 # Prometheus text. A torn write that "succeeds" must then be rejected by
 # the footer checksum on resume, and a malformed QCF_FAULTS or QCF_SLO
-# spec must be refused up front with exit 2.
+# spec or numeric flag must be refused up front with exit 2.
 echo "== checkpoint crash drill (kill-point matrix + torn write) =="
 ck_dir=$(mktemp -d /tmp/qcf-crash-drill.XXXXXX)
 trap 'rm -rf "$ck_dir"' EXIT
@@ -236,6 +239,14 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 echo "malformed QCF_SLO: refused up front (exit 2)"
+rc=0
+"${qcfz[@]}" checkpoint --out "$ck_dir/bad.qcfs" --gates 8x "${ck_flags[@]}" \
+    >/dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "crash drill FAILED: malformed --gates exited $rc, want 2" >&2
+    exit 1
+fi
+echo "malformed --gates: refused up front (exit 2)"
 
 # Spill-log compaction drill: a churned, budgeted run must compact its
 # append-only spill log (reclaiming dead superseded records) while the
@@ -255,11 +266,11 @@ fi
 
 # Run-to-run regression gate with attribution: `--diff` is `--baseline
 # --check` plus the ranked movement attribution (which keys moved most
-# and which SLO dimension each endangers). CR, ledger invariants and
-# energy are hard failures everywhere; throughput only fails on >=4-core
-# hosts (wall clock on a loaded 1-core runner is noise). Any end-of-run
-# SLO violation in the current report is an absolute failure — a
-# violating committed baseline cannot grandfather it. Refresh with:
+# and which SLO dimension each endangers). Every baseline key is
+# deterministic, so CR, ledger invariants, energy and a missing key are
+# hard failures on any host. Any end-of-run SLO violation in the current
+# report is an absolute failure — a violating committed baseline cannot
+# grandfather it. Refresh with:
 #   qcfz report --json BENCH_report.json
 echo "== report regression check (with SLO verdict + diff attribution) =="
 cargo run --release -q -p qcf-bench --bin qcfz -- report \

@@ -1,7 +1,7 @@
 //! Experiment harness CLI.
 //!
 //! ```text
-//! experiments [e1|e2|...|e9|all] [--quick] [--out DIR]
+//! experiments [e1|e2|...|e11|all] [--quick] [--out DIR]
 //!             [--trace FILE] [--metrics FILE] [--phases]
 //! ```
 //!
@@ -67,7 +67,7 @@ fn main() {
                 eprintln!("[{id} done in {:.1}s]", started.elapsed().as_secs_f64());
             }
             None => {
-                eprintln!("unknown experiment '{id}' (expected e1..e9 or all)");
+                eprintln!("unknown experiment '{id}' (expected e1..e11 or all)");
                 std::process::exit(2);
             }
         }

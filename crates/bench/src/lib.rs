@@ -1,10 +1,9 @@
 //! # qcf-bench — evaluation corpus and experiment harness
 //!
 //! Regenerates every table/figure of the paper's evaluation (DESIGN.md §4,
-//! experiments E1–E9) from scratch: the `experiments` binary prints each
-//! table and saves a JSON record under `results/`. Criterion benches cover
-//! the per-compressor kernels, the pipeline ablation and the design-choice
-//! ablations DESIGN.md calls out.
+//! experiments E1–E11) from scratch: the `experiments` binary prints each
+//! table and saves a JSON record under `results/`. The `qcfz` binary is the
+//! command-line front end (file compression, demos, run reports).
 
 pub mod cli;
 pub mod corpus;

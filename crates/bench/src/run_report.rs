@@ -18,21 +18,22 @@
 //!    same path), then finished twice from that snapshot
 //!    ([`cli::resume_demo`]) — once scrubbed, once plain — and the two
 //!    completions are asserted bit-identical;
-//! 5. **quality** — a round-trip CR/PSNR/throughput sweep over the full
-//!    compressor lineup on a synthetic amplitude tensor.
+//! 5. **quality** — a round-trip CR/PSNR sweep over the full compressor
+//!    lineup on a synthetic amplitude tensor, with the simulated-GPU
+//!    throughput of each.
 //!
 //! [`RunReport::to_markdown`] renders everything — per-phase span tables,
 //! registry metrics, the per-compressor quality table, the per-state ledger
 //! summary — into one document (`to_html` wraps the same content for
 //! browsers).
 //!
-//! [`RunReport::baseline`] flattens the run's stable scalars into
+//! [`RunReport::baseline`] flattens the run's deterministic scalars into
 //! `key → number` pairs, and [`check`] diffs a current run against a stored
 //! baseline: compression-ratio drops, requant-count increases,
-//! accumulated-bound growth and energy drift are **hard** regressions;
-//! throughput drops are warnings unless the caller opts into strict mode
-//! (CI does on multi-core hosts — wall-clock numbers on a loaded 1-core
-//! runner are noise, CR and ledger invariants are not).
+//! accumulated-bound growth, energy drift and missing keys are **hard**
+//! regressions. Host wall-clock figures never enter the baseline: measured
+//! performance is the benchmark's job (`BENCHMARK.json`), where runs are
+//! repeated and judged by their spread.
 
 use crate::cli::{self, CliError};
 use crate::corpus::synthetic_tensor;
@@ -100,26 +101,6 @@ pub struct QualityRow {
     pub gpu_compress_bps: f64,
     /// Simulated-GPU decompression throughput, bytes/s.
     pub gpu_decompress_bps: f64,
-    /// Host wall-clock compression throughput, bytes/s.
-    pub host_compress_bps: f64,
-    /// Host compression throughput with `worker_count()` pinned to 1
-    /// (measured only for the paper's cuSZ/cuSZx targets) — the honest
-    /// serial baseline `multicore_speedup` divides by.
-    pub host_compress_bps_serial: Option<f64>,
-    /// Threads the round trip actually ran on, capped at the host's cores
-    /// — 1 for a serial codec on any host. Per-core throughput divides by
-    /// this, not by the host's core count.
-    pub workers: usize,
-}
-
-/// Physical cores the host reports — the figure all per-core throughput
-/// normalization uses. Deliberately *not* `worker_count()`: `QCF_WORKERS=4`
-/// on a 1-core CI box forces the threaded code paths, but four threads
-/// time-slicing one core is still a 1-core host for speedup accounting.
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Everything one `qcfz report` run measured.
@@ -356,22 +337,8 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
     let tensor = synthetic_tensor(1 << 14, 0.3, config.seed);
     let mut quality = Vec::new();
     for comp in cli::cli_lineup() {
-        gpu_model::exec::take_peak_workers();
         let r = round_trip(comp.as_ref(), &tensor.data, config.bound)
             .map_err(|e| CliError(format!("{} round trip: {e}", comp.name())))?;
-        let workers = gpu_model::exec::take_peak_workers().min(detected_cores());
-        // Serial re-measurement for the multi-core speedup record: the
-        // same round trip with the worker pool pinned to 1. Only the
-        // paper's GPU-compressor targets carry the >=2x scaling gate.
-        let serial = if matches!(r.name, "cuSZ" | "cuSZx") {
-            let s = gpu_model::exec::with_serial_workers(|| {
-                round_trip(comp.as_ref(), &tensor.data, config.bound)
-            })
-            .map_err(|e| CliError(format!("{} serial round trip: {e}", comp.name())))?;
-            Some(s.host_compress_bps)
-        } else {
-            None
-        };
         quality.push(QualityRow {
             name: r.name.to_string(),
             cr: r.quality.compression_ratio,
@@ -379,9 +346,6 @@ pub fn collect(config: ReportConfig) -> Result<RunReport, CliError> {
             psnr_db: r.quality.psnr_db,
             gpu_compress_bps: r.gpu_compress_bps,
             gpu_decompress_bps: r.gpu_decompress_bps,
-            host_compress_bps: r.host_compress_bps,
-            host_compress_bps_serial: serial,
-            workers,
         });
     }
     let _ = scope.finish();
@@ -693,25 +657,6 @@ impl RunReport {
         }
         let _ = writeln!(out, "```\n{}```\n", qt.render());
 
-        let cores = detected_cores();
-        for r in &self.quality {
-            if let Some(serial) = r.host_compress_bps_serial {
-                let speedup = r.host_compress_bps / serial.max(f64::MIN_POSITIVE);
-                let _ = writeln!(
-                    out,
-                    "- {} multi-core speedup vs 1-worker serial: ~{speedup:.1}x \
-                     ({cores}-core host{})",
-                    r.name,
-                    if (cores as f64) < 4.0 {
-                        "; >=2x gate skipped below 4 cores"
-                    } else {
-                        ""
-                    }
-                );
-            }
-        }
-        let _ = writeln!(out);
-
         let _ = writeln!(out, "## Service-level objectives\n");
         let mut st = Table::new(
             "slo",
@@ -775,15 +720,15 @@ impl RunReport {
         )
     }
 
-    /// The run's stable scalars as flat `key → number` pairs — the baseline
-    /// format `--baseline`/`--check` diff against. Deterministic quantities
-    /// only get hard-checked ([`check`]); `*_bps` throughput keys are
-    /// machine-dependent and soft by default, and `host.cores` plus each
-    /// codec's `quality.*.workers` are recorded so [`check`] can normalize
-    /// them per core across hosts.
+    /// The run's deterministic scalars as flat `key → number` pairs — the
+    /// baseline format `--baseline`/`--check` diff against. No key reads
+    /// host wall clock, so two runs of one build produce the same map bit
+    /// for bit on any host and worker count. The one exception in
+    /// principle is `slo.violations`: the default latency objectives judge
+    /// wall-clock histograms, at thresholds ~100× above a report run's
+    /// readings.
     pub fn baseline(&self) -> BTreeMap<String, f64> {
         let mut m = BTreeMap::new();
-        m.insert("host.cores".into(), detected_cores() as f64);
         m.insert("qaoa.energy".into(), self.qaoa.energy);
         m.insert("qaoa.ratio".into(), self.qaoa.ratio);
         m.insert(
@@ -849,39 +794,11 @@ impl RunReport {
         m.insert("slo.objectives".into(), self.slo.rows.len() as f64);
         m.insert("slo.violations".into(), self.slo.violations as f64);
         for r in &self.quality {
-            quality_baseline(r, &mut m);
+            m.insert(format!("quality.{}.cr", r.name), r.cr);
+            m.insert(format!("quality.{}.max_abs_err", r.name), r.max_abs_err);
         }
         m
     }
-}
-
-/// One quality row's `quality.<codec>.*` baseline keys.
-fn quality_baseline(r: &QualityRow, m: &mut BTreeMap<String, f64>) {
-    m.insert(format!("quality.{}.cr", r.name), r.cr);
-    m.insert(format!("quality.{}.max_abs_err", r.name), r.max_abs_err);
-    m.insert(
-        format!("quality.{}.host_compress_bps", r.name),
-        r.host_compress_bps,
-    );
-    m.insert(format!("quality.{}.workers", r.name), r.workers as f64);
-    m.insert(
-        format!("quality.{}.host_compress_bps_per_core", r.name),
-        r.host_compress_bps / r.workers.max(1) as f64,
-    );
-    if let Some(serial) = r.host_compress_bps_serial {
-        m.insert(
-            format!("quality.{}.multicore_speedup", r.name),
-            r.host_compress_bps / serial.max(f64::MIN_POSITIVE),
-        );
-    }
-}
-
-/// The workers a `quality.<codec>.*` key's codec ran on, from the same
-/// map's `quality.<codec>.workers` record; `None` for other keys and for
-/// baselines that predate the record.
-fn recorded_workers(m: &BTreeMap<String, f64>, key: &str) -> Option<f64> {
-    let (codec, _) = key.rsplit_once('.')?;
-    m.get(&format!("{codec}.workers")).map(|w| w.max(1.0))
 }
 
 /// Renders a flat baseline map as JSON (sorted keys, one pair per line).
@@ -948,8 +865,6 @@ pub fn parse_baseline(doc: &str) -> Result<BTreeMap<String, f64>, CliError> {
 pub struct CheckResult {
     /// Hard regressions — CI fails on any.
     pub regressions: Vec<String>,
-    /// Soft findings (throughput on a possibly-loaded host, missing keys).
-    pub warnings: Vec<String>,
     /// Ranked movement attribution (`--diff` only): which baseline keys
     /// moved most, and which SLO dimension each endangers.
     pub attribution: Vec<String>,
@@ -966,54 +881,26 @@ impl CheckResult {
 const CR_TOLERANCE: f64 = 0.05;
 /// Tolerated relative accumulated-bound growth.
 const BOUND_TOLERANCE: f64 = 0.05;
-/// Tolerated relative throughput loss (soft unless `strict_throughput`).
-const BPS_TOLERANCE: f64 = 0.5;
 
-/// Multi-core throughput must be at least this multiple of the serial
-/// (1-worker) figure on hosts where the gate is live.
-const SPEEDUP_TARGET: f64 = 2.0;
-/// The speedup gate only binds on hosts with at least this many cores —
-/// on fewer, threads time-slice the same silicon and a wall-clock speedup
-/// is impossible by construction, so the figure is recorded, not gated.
-const SPEEDUP_MIN_CORES: f64 = 4.0;
-
-/// Diffs `current` against `stored`. Hard regressions: any `*.cr` drop
-/// beyond 5%, any requant-count increase, accumulated-bound growth beyond
-/// 5%, max-abs-err growth beyond 5%, or energy drift beyond first-order
-/// noise. Throughput (`*_bps`) losses beyond 50% are warnings, upgraded to
-/// regressions under `strict_throughput`; before comparing, each side is
-/// normalized by the workers its codec recorded (`quality.*.workers`,
-/// falling back to the side's `host.cores`), so neither a baseline captured
-/// on a big machine nor a serial codec on a big runner trips the rule
-/// (`*_bps_per_core` keys are stored pre-normalized and compared as-is).
-///
-/// Additionally, `quality.*.multicore_speedup` records in `current` are
-/// gated absolutely: on a >=4-core host a speedup below 2x is a hard
-/// regression; on smaller hosts the figure is reported as a warning note
-/// (honestly ~1x there) and the gate is skipped.
-pub fn check(
-    current: &BTreeMap<String, f64>,
-    stored: &BTreeMap<String, f64>,
-    strict_throughput: bool,
-) -> CheckResult {
+/// Diffs `current` against `stored`. Hard regressions: a baseline key
+/// missing from the run (every key is deterministic, so a vanished key is
+/// a real change), any `*.cr` drop beyond 5%, any requant-count increase,
+/// accumulated-bound growth beyond 5%, max-abs-err growth beyond 5%, or
+/// energy drift beyond first-order noise.
+pub fn check(current: &BTreeMap<String, f64>, stored: &BTreeMap<String, f64>) -> CheckResult {
     let mut res = CheckResult::default();
-    let cores_now = current.get("host.cores").copied().unwrap_or(1.0).max(1.0);
-    let cores_base = stored.get("host.cores").copied().unwrap_or(1.0).max(1.0);
     for (key, &base) in stored {
-        if key == "host.cores" {
-            continue; // context for normalization, not a checked quantity
-        }
+        let Some(&now) = current.get(key) else {
+            res.regressions
+                .push(format!("{key}: in baseline but missing from this run"));
+            continue;
+        };
         if key.starts_with("slo.") {
             // Judged by the absolute rule below, not by drift vs baseline
             // (a baseline captured with violations must not grandfather
             // them in).
             continue;
         }
-        let Some(&now) = current.get(key) else {
-            res.warnings
-                .push(format!("{key}: in baseline but missing from this run"));
-            continue;
-        };
         if key.ends_with(".cr") || key == "qaoa.ratio" {
             if now < base * (1.0 - CR_TOLERANCE) {
                 res.regressions.push(format!(
@@ -1039,52 +926,8 @@ pub fn check(
                 res.regressions
                     .push(format!("{key}: energy drifted {base:.6} -> {now:.6}"));
             }
-        } else if key.ends_with("_bps") || key.ends_with("_bps_per_core") {
-            // Compare per-core figures: `_bps_per_core` keys already are,
-            // raw `_bps` keys divide by their own side's recorded workers.
-            let (base_pc, now_pc) = if key.ends_with("_bps_per_core") {
-                (base, now)
-            } else {
-                (
-                    base / recorded_workers(stored, key).unwrap_or(cores_base),
-                    now / recorded_workers(current, key).unwrap_or(cores_now),
-                )
-            };
-            if now_pc < base_pc * (1.0 - BPS_TOLERANCE) {
-                let msg = format!(
-                    "{key}: per-core throughput fell {:.2} -> {:.2} GB/s",
-                    base_pc / 1e9,
-                    now_pc / 1e9
-                );
-                if strict_throughput {
-                    res.regressions.push(msg);
-                } else {
-                    res.warnings.push(msg);
-                }
-            }
         }
         // Remaining keys (counts, cache hits) are informational.
-    }
-    // Absolute multi-core scaling gate on the current run: the paper's
-    // >=2x cuSZ/cuSZx target, enforced only where a speedup is physically
-    // possible and recorded honestly where it is not.
-    for (key, &speedup) in current
-        .iter()
-        .filter(|(k, _)| k.starts_with("quality.") && k.ends_with(".multicore_speedup"))
-    {
-        if cores_now >= SPEEDUP_MIN_CORES {
-            if speedup < SPEEDUP_TARGET {
-                res.regressions.push(format!(
-                    "{key}: multi-core speedup {speedup:.2}x below the \
-                     {SPEEDUP_TARGET:.0}x target on a {cores_now:.0}-core host"
-                ));
-            }
-        } else {
-            res.warnings.push(format!(
-                "{key}: ~{speedup:.1}x ({cores_now:.0}-core host) — \
-                 multi-core >={SPEEDUP_TARGET:.0}x gate skipped"
-            ));
-        }
     }
     // Absolute SLO verdict: any end-of-run objective violation is a hard
     // regression, including against baselines that predate the slo.* keys
@@ -1110,7 +953,7 @@ fn slo_dimension(key: &str) -> &'static str {
         || key.ends_with(".energy")
     {
         "fidelity"
-    } else if key.contains("_bps") || key.contains("speedup") || key.contains("stall") {
+    } else if key.contains("stall") {
         "latency"
     } else if key.ends_with(".cr")
         || key.contains("ratio")
@@ -1140,9 +983,6 @@ pub fn diff_attribution(
 ) -> Vec<String> {
     let mut moved: Vec<(f64, String)> = Vec::new();
     for (key, &base) in stored {
-        if key == "host.cores" {
-            continue;
-        }
         let Some(&now) = current.get(key) else {
             continue;
         };
@@ -1189,7 +1029,6 @@ pub fn run(
     out: &Path,
     save_json: Option<&Path>,
     baseline: Option<&Path>,
-    strict_throughput: bool,
     attribute: bool,
 ) -> Result<CheckResult, CliError> {
     let report = collect(config)?;
@@ -1206,7 +1045,7 @@ pub fn run(
     let result = match baseline {
         Some(path) => {
             let stored = parse_baseline(&std::fs::read_to_string(path)?)?;
-            let mut res = check(&current, &stored, strict_throughput);
+            let mut res = check(&current, &stored);
             if attribute {
                 res.attribution = diff_attribution(&current, &stored);
             }
@@ -1385,98 +1224,20 @@ mod tests {
     }
 
     #[test]
-    fn same_run_checks_clean_against_itself() {
-        let r = collect_serially(small_config()).unwrap();
-        let mut b = r.baseline();
-        // Pin the host below the speedup gate so the self-check is about
-        // the diff rules, not this machine's actual scaling.
-        b.insert("host.cores".into(), 1.0);
-        let res = check(&b, &b, true);
-        assert!(res.ok(), "self-check regressions: {:?}", res.regressions);
-        // The only admissible warnings are the honest "gate skipped"
-        // speedup notes a small host always emits.
-        assert!(
-            res.warnings.iter().all(|w| w.contains("gate skipped")),
-            "unexpected warnings: {:?}",
-            res.warnings
-        );
-    }
-
-    #[test]
-    fn speedup_gate_binds_only_on_multicore_hosts() {
-        let mut cur: BTreeMap<String, f64> = BTreeMap::new();
-        cur.insert("host.cores".into(), 8.0);
-        cur.insert("quality.cuSZ.multicore_speedup".into(), 1.3);
-        let base = cur.clone();
-
-        // 8-core host below target: hard regression even in lax mode.
-        let res = check(&cur, &base, false);
-        assert_eq!(res.regressions.len(), 1, "{:?}", res.regressions);
-        assert!(res.regressions[0].contains("multicore_speedup"));
-
-        // Same figure on a 1-core host: recorded as a warning, not gated.
-        cur.insert("host.cores".into(), 1.0);
-        let res = check(&cur, &base, false);
-        assert!(res.ok(), "{:?}", res.regressions);
-        assert_eq!(res.warnings.len(), 1);
-        assert!(res.warnings[0].contains("gate skipped"));
-
-        // Meeting the target on a big host is clean.
-        cur.insert("host.cores".into(), 8.0);
-        cur.insert("quality.cuSZ.multicore_speedup".into(), 2.4);
-        let res = check(&cur, &base, true);
-        assert!(res.ok(), "{:?}", res.regressions);
-        assert!(res.warnings.is_empty(), "{:?}", res.warnings);
-    }
-
-    #[test]
-    fn throughput_rule_normalizes_by_recorded_cores() {
-        // Baseline captured on a 4-core box at 8 GB/s total (2 GB/s per
-        // core); current host is 1-core at 2.5 GB/s. Raw comparison would
-        // scream (2.5 < 8·0.5); per-core it is an improvement.
-        let mut base: BTreeMap<String, f64> = BTreeMap::new();
-        base.insert("host.cores".into(), 4.0);
-        base.insert("quality.cuSZ.host_compress_bps".into(), 8e9);
-        let mut cur: BTreeMap<String, f64> = BTreeMap::new();
-        cur.insert("host.cores".into(), 1.0);
-        cur.insert("quality.cuSZ.host_compress_bps".into(), 2.5e9);
-        let res = check(&cur, &base, true);
-        assert!(res.ok(), "{:?}", res.regressions);
-        assert!(res.warnings.is_empty(), "{:?}", res.warnings);
-
-        // A genuine per-core collapse still fires under strict mode, and
-        // pre-normalized *_bps_per_core keys are compared as-is.
-        cur.insert("quality.cuSZ.host_compress_bps".into(), 0.5e9);
-        base.insert("quality.cuSZ.host_compress_bps_per_core".into(), 2e9);
-        cur.insert("quality.cuSZ.host_compress_bps_per_core".into(), 0.5e9);
-        let res = check(&cur, &base, true);
-        assert_eq!(res.regressions.len(), 2, "{:?}", res.regressions);
-    }
-
-    #[test]
-    fn serial_codec_throughput_is_not_divided_by_host_cores() {
-        // A serial codec at an unchanged 1 GB/s: recorded on a 1-core
-        // baseline host, then measured on an 8-core runner.
-        let row = QualityRow {
-            name: "LZ4".into(),
-            cr: 1.2,
-            max_abs_err: 0.0,
-            psnr_db: f64::INFINITY,
-            gpu_compress_bps: 1e10,
-            gpu_decompress_bps: 1e10,
-            host_compress_bps: 1e9,
-            host_compress_bps_serial: None,
-            workers: 1,
-        };
-        let mut base = BTreeMap::new();
-        base.insert("host.cores".into(), 1.0);
-        quality_baseline(&row, &mut base);
-        let mut cur = BTreeMap::new();
-        cur.insert("host.cores".into(), 8.0);
-        quality_baseline(&row, &mut cur);
-        let res = check(&cur, &base, true);
-        assert!(res.ok(), "{:?}", res.regressions);
-        assert!(res.warnings.is_empty(), "{:?}", res.warnings);
+    fn two_runs_write_identical_baselines() {
+        // Every baseline key is deterministic: two independent runs of the
+        // same configuration must agree key for key and bit for bit, and
+        // each must check clean against the other.
+        let a = collect_serially(small_config()).unwrap().baseline();
+        let b = collect_serially(small_config()).unwrap().baseline();
+        assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>());
+        for (k, v) in &a {
+            assert_eq!(v.to_bits(), b[k].to_bits(), "{k}: {v} vs {}", b[k]);
+        }
+        for (cur, base) in [(&a, &b), (&b, &a)] {
+            let res = check(cur, base);
+            assert!(res.ok(), "regressions: {:?}", res.regressions);
+        }
     }
 
     #[test]
@@ -1486,26 +1247,29 @@ mod tests {
         base.insert("state.requants.total".into(), 5.0);
         base.insert("state.accumulated_bound.rss".into(), 1e-6);
         base.insert("qaoa.energy".into(), 11.5);
-        base.insert("quality.cuSZ.host_compress_bps".into(), 8e9);
+        base.insert("oocore.spill.writes".into(), 12.0);
 
         let mut cur = base.clone();
         cur.insert("quality.cuSZ.cr".into(), 8.0); // CR fell 20%
         cur.insert("state.requants.total".into(), 9.0); // requants grew
         cur.insert("state.accumulated_bound.rss".into(), 2e-6); // bound doubled
         cur.insert("qaoa.energy".into(), 11.8); // energy drifted
-        cur.insert("quality.cuSZ.host_compress_bps".into(), 1e9); // throughput fell
+        cur.remove("oocore.spill.writes"); // key vanished
 
-        let lax = check(&cur, &base, false);
-        assert_eq!(lax.regressions.len(), 4, "{:?}", lax.regressions);
-        assert_eq!(lax.warnings.len(), 1, "{:?}", lax.warnings);
-        let strict = check(&cur, &base, true);
-        assert_eq!(strict.regressions.len(), 5);
+        let res = check(&cur, &base);
+        assert_eq!(res.regressions.len(), 5, "{:?}", res.regressions);
+        assert!(
+            res.regressions
+                .iter()
+                .any(|r| r.starts_with("oocore.spill.writes") && r.contains("missing")),
+            "{:?}",
+            res.regressions
+        );
 
         // Small wobble within tolerance stays clean.
         let mut ok = base.clone();
         ok.insert("quality.cuSZ.cr".into(), 9.8);
-        ok.insert("quality.cuSZ.host_compress_bps".into(), 7e9);
-        assert!(check(&ok, &base, true).ok());
+        assert!(check(&ok, &base).ok());
     }
 
     #[test]
@@ -1529,7 +1293,7 @@ mod tests {
         let mut cur = base.clone();
         cur.insert("slo.violations".into(), 2.0);
         cur.insert("slo.objectives".into(), 6.0);
-        let res = check(&cur, &base, false);
+        let res = check(&cur, &base);
         assert_eq!(res.regressions.len(), 1, "{:?}", res.regressions);
         assert!(res.regressions[0].contains("2 objective(s) violated"));
 
@@ -1537,11 +1301,11 @@ mod tests {
         // slo.* keys means the absolute rule is the only judge.
         base.insert("slo.violations".into(), 2.0);
         base.insert("slo.objectives".into(), 6.0);
-        assert!(!check(&cur, &base, false).ok());
+        assert!(!check(&cur, &base).ok());
 
         // Zero violations are clean regardless of the baseline.
         cur.insert("slo.violations".into(), 0.0);
-        assert!(check(&cur, &base, false).ok());
+        assert!(check(&cur, &base).ok());
     }
 
     #[test]
@@ -1549,11 +1313,11 @@ mod tests {
         assert_eq!(slo_dimension("state.requants.total"), "fidelity");
         assert_eq!(slo_dimension("state.accumulated_bound.rss"), "fidelity");
         assert_eq!(slo_dimension("qaoa.energy"), "fidelity");
-        assert_eq!(slo_dimension("quality.cuSZ.host_compress_bps"), "latency");
+        assert_eq!(slo_dimension("oocore.prefetch.stall_us"), "latency");
         assert_eq!(slo_dimension("quality.cuSZ.cr"), "efficiency");
         assert_eq!(slo_dimension("oocore.prefetch.hits"), "efficiency");
         assert_eq!(slo_dimension("oocore.spill.writes"), "capacity");
-        assert_eq!(slo_dimension("host.cores"), "none");
+        assert_eq!(slo_dimension("ckpt.gate"), "none");
     }
 
     #[test]
@@ -1566,8 +1330,6 @@ mod tests {
         cur.insert("qaoa.energy".into(), 11.0); // +10%
         base.insert("state.requants.total".into(), 4.0);
         cur.insert("state.requants.total".into(), 4.0); // unchanged: dropped
-        base.insert("host.cores".into(), 4.0);
-        cur.insert("host.cores".into(), 128.0); // host fact: never attributed
         base.insert("only.in.baseline".into(), 1.0); // one-sided: dropped
 
         let lines = diff_attribution(&cur, &base);

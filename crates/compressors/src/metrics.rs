@@ -1,7 +1,7 @@
 //! Quality and performance metrics for compression runs.
 //!
 //! The quantities every figure in the paper's evaluation reports:
-//! compression ratio, maximum pointwise error, PSNR, and simulated / host
+//! compression ratio, maximum pointwise error, PSNR, and simulated
 //! throughput.
 
 use crate::traits::{Compressor, ErrorBound};
@@ -77,10 +77,6 @@ pub struct RoundTripReport {
     pub gpu_compress_bps: f64,
     /// Simulated-GPU decompression throughput, bytes/s of output.
     pub gpu_decompress_bps: f64,
-    /// Host wall-clock compression throughput, bytes/s (for sanity only).
-    pub host_compress_bps: f64,
-    /// Host wall-clock decompression throughput, bytes/s.
-    pub host_decompress_bps: f64,
     /// The reconstructed values.
     pub reconstructed: Vec<f64>,
 }
@@ -106,13 +102,11 @@ pub fn round_trip(
     let t0 = Instant::now();
     let bytes = comp.compress(data, bound, &cstream)?;
     let encode_s = t0.elapsed().as_secs_f64();
-    let host_c = payload as f64 / encode_s.max(1e-12);
 
     let dstream = Stream::new(DeviceSpec::a100());
     let t1 = Instant::now();
     let reconstructed = comp.decompress(&bytes, &dstream)?;
     let decode_s = t1.elapsed().as_secs_f64();
-    let host_d = payload as f64 / decode_s.max(1e-12);
 
     let report = RoundTripReport {
         name: comp.name(),
@@ -121,8 +115,6 @@ pub fn round_trip(
         quality: quality(data, &reconstructed, bytes.len()),
         gpu_compress_bps: cstream.throughput(payload),
         gpu_decompress_bps: dstream.throughput(payload),
-        host_compress_bps: host_c,
-        host_decompress_bps: host_d,
         reconstructed,
     };
     if qcf_telemetry::enabled() {

@@ -18,12 +18,8 @@
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// When set, `worker_count()` reports 1 regardless of the host — see
-/// [`with_serial_workers`].
-static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
 
 /// Number of worker threads used for kernel bodies (the host's parallelism,
 /// not the simulated GPU's).
@@ -33,9 +29,6 @@ static FORCE_SERIAL: AtomicBool = AtomicBool::new(false);
 /// `QCF_WORKERS=4` forces the multi-threaded code paths so the
 /// determinism contract is actually exercised there.
 pub fn worker_count() -> usize {
-    if FORCE_SERIAL.load(Ordering::Relaxed) {
-        return 1;
-    }
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
         if let Ok(v) = std::env::var("QCF_WORKERS") {
@@ -47,25 +40,6 @@ pub fn worker_count() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// Runs `f` with `worker_count()` pinned to 1 — the serial baseline for
-/// speedup measurements.
-///
-/// The executor's block decomposition is worker-count independent, so the
-/// serial run computes bit-identical output; only the scheduling changes.
-/// The pin is **process-global** (benches and the report's speedup probe
-/// are single-threaded at the top level, which is the intended use); the
-/// previous state is restored even if `f` panics.
-pub fn with_serial_workers<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCE_SERIAL.store(self.0, Ordering::Relaxed);
-        }
-    }
-    let _restore = Restore(FORCE_SERIAL.swap(true, Ordering::Relaxed));
-    f()
 }
 
 /// Most threads any parallel section has run on since the last
@@ -80,8 +54,8 @@ pub fn note_workers(n: usize) {
 }
 
 /// Returns and resets the most threads any parallel section ran on since
-/// the previous call — how many workers a measured section actually used,
-/// which is what its throughput should be normalized by.
+/// the previous call — how many workers a section actually used (the
+/// small-call allocation gate checks that a tiny round trip spawned none).
 pub fn take_peak_workers() -> usize {
     PEAK_WORKERS.swap(1, Ordering::Relaxed)
 }
