@@ -54,15 +54,18 @@ cargo test --offline --manifest-path qcfbench/Cargo.toml
 # The bit-identity proofs again, optimised: the benchmark and users run
 # release builds, where float reductions and NaN propagation can differ
 # from debug. Vectorized cuSZ dual-quant and cuSZx block kernels against
-# their scalar references (kernel_proptests), the Huffman LUT decoder
-# against symbol-at-a-time decode (huffman unit tests), and, on four
-# workers, the cuSZ/cuSZx/QCF streams against their golden digests
-# (into_proptests) and parallel contract/multiply_keep against their
-# serial references.
+# their scalar references (kernel_proptests), the word-at-a-time LZ77
+# matcher against its byte-at-a-time reference parse (codec_proptests),
+# the Huffman LUT decoder against symbol-at-a-time decode (huffman unit
+# tests), the direct-indexed dictionary quantizer against its hashed
+# reference (dict unit tests), and, on four workers, the cuSZ/cuSZx/QCF
+# streams against their golden digests (into_proptests) and parallel
+# contract/multiply_keep against their serial references.
 echo "== release-mode kernel proofs =="
 cargo test --release -q -p compressors --test kernel_proptests
 cargo test --release -q -p codec-kit --test codec_proptests
 cargo test --release -q -p codec-kit --lib huffman
+cargo test --release -q -p qcf-core --lib dict
 QCF_WORKERS=4 cargo test --release -q -p compressors --test into_proptests
 QCF_WORKERS=4 cargo test --release -q --test proptests \
     large_contract_and_multiply_bit_identical_to_serial

@@ -19,7 +19,7 @@
 //! thread-block-parallel decode layout.
 
 use crate::traits::{
-    read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
 };
 use codec_kit::chunked::{decode_chunked_into_slice, encode_chunked_into, DEFAULT_CHUNK};
 use codec_kit::varint::{
@@ -213,8 +213,7 @@ impl Compressor for CuSz {
         stream: &Stream,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        let (min, max) = value_range(data);
-        let eb = bound.to_abs(max - min);
+        let eb = bound.to_abs(data);
         if eb.is_nan() || eb <= 0.0 {
             return Err(CodecError::Unsupported("error bound must be positive"));
         }

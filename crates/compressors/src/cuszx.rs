@@ -13,7 +13,7 @@
 //! why SZx tops out near memory bandwidth on real GPUs.
 
 use crate::traits::{
-    read_stream_header, stream_header_into, value_range, Compressor, CompressorKind, ErrorBound,
+    read_stream_header, stream_header_into, Compressor, CompressorKind, ErrorBound,
 };
 use codec_kit::bitio::{BitReader, BitWriter};
 use codec_kit::bitpack::unpack;
@@ -72,8 +72,7 @@ impl Compressor for CuSzx {
         stream: &Stream,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        let (min, max) = value_range(data);
-        let eb = bound.to_abs(max - min);
+        let eb = bound.to_abs(data);
         if eb.is_nan() || eb <= 0.0 {
             return Err(CodecError::Unsupported("error bound must be positive"));
         }

@@ -26,15 +26,16 @@ pub enum ErrorBound {
 }
 
 impl ErrorBound {
-    /// Resolves to an absolute bound for a buffer with the given value range.
-    /// Zero-range (constant) data yields a tiny positive bound so divisions
-    /// stay finite.
-    pub fn to_abs(self, value_range: f64) -> f64 {
+    /// Resolves to an absolute bound for `data`. Only `Rel` reads the
+    /// data (one pass for its value range); zero-range (constant) data
+    /// counts as range 1, so the bound stays positive.
+    pub fn to_abs(self, data: &[f64]) -> f64 {
         match self {
             ErrorBound::Abs(eb) => eb,
             ErrorBound::Rel(eb) => {
-                let r = if value_range > 0.0 { value_range } else { 1.0 };
-                eb * r
+                let (min, max) = value_range(data);
+                let r = max - min;
+                eb * if r > 0.0 { r } else { 1.0 }
             }
         }
     }
@@ -229,10 +230,10 @@ mod tests {
 
     #[test]
     fn bound_resolution() {
-        assert_eq!(ErrorBound::Abs(1e-3).to_abs(100.0), 1e-3);
-        assert_eq!(ErrorBound::Rel(1e-3).to_abs(2.0), 2e-3);
+        assert_eq!(ErrorBound::Abs(1e-3).to_abs(&[-50.0, 50.0]), 1e-3);
+        assert_eq!(ErrorBound::Rel(1e-3).to_abs(&[1.0, -1.0, 0.5]), 2e-3);
         // constant data: falls back to treating range as 1
-        assert_eq!(ErrorBound::Rel(1e-3).to_abs(0.0), 1e-3);
+        assert_eq!(ErrorBound::Rel(1e-3).to_abs(&[4.0, 4.0]), 1e-3);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use codec_kit::CodecError;
 use compressors::cusz::CuSz;
 use compressors::cuszx::CuSzx;
 use compressors::lz4::{lz4_decode_block, lz4_encode_block};
-use compressors::traits::{read_stream_header, stream_header_into, value_range};
+use compressors::traits::{read_stream_header, stream_header_into};
 use compressors::{decompress_any_into, Compressor, CompressorKind, ErrorBound};
 use gpu_model::{KernelSpec, MemoryPattern, Stream};
 use std::borrow::Cow;
@@ -462,8 +462,7 @@ impl QcfCompressor {
         stream: &Stream,
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
-        let (min, max) = value_range(data);
-        let abs_eb = bound.to_abs(max - min);
+        let abs_eb = bound.to_abs(data);
         if abs_eb.is_nan() || abs_eb <= 0.0 {
             return Err(CodecError::Unsupported("error bound must be positive"));
         }
@@ -613,6 +612,7 @@ impl Compressor for QcfCompressor {
 mod tests {
     use super::*;
     use compressors::metrics::assert_bound;
+    use compressors::traits::value_range;
     use gpu_model::DeviceSpec;
     use rand::{Rng, SeedableRng};
 

@@ -10,7 +10,6 @@
 
 use crate::contraction::{ContractError, ContractionHook};
 use crate::ledger::rss_accumulate;
-use compressors::traits::value_range;
 use compressors::{Compressor, CompressorKind, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
 use rand::{Rng, SeedableRng};
@@ -111,8 +110,7 @@ impl ContractionHook for CompressingHook<'_> {
         self.stats.compressed_bytes += bytes.len() as u64;
         self.stats.largest_tensor_bytes = self.stats.largest_tensor_bytes.max(nbytes);
         if self.compressor.kind() == CompressorKind::ErrorBounded {
-            let (min, max) = value_range(flat);
-            let eps = self.bound.to_abs(max - min);
+            let eps = self.bound.to_abs(flat);
             self.stats.lossy_events += 1;
             self.stats.accumulated_bound = rss_accumulate(self.stats.accumulated_bound, eps);
             self.acc_bound_gauge.set(self.stats.accumulated_bound);

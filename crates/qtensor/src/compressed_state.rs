@@ -29,7 +29,6 @@ use crate::contraction::ContractError;
 use crate::ledger::{ChunkRecord, ErrorLedger, LedgerSummary};
 use crate::spill::{self, Consume, FramePayload, PrefetchCtl, PrefetchRequest, SpillTier};
 use crate::statevector::{apply_gate_to_amplitudes, StateVector};
-use compressors::traits::value_range;
 use compressors::{Compressor, CompressorKind, ErrorBound};
 use gpu_model::{DeviceSpec, Stream};
 use qcf_telemetry::journal::{self, EventKind};
@@ -870,8 +869,7 @@ impl<'a> CompressedState<'a> {
         if self.compressor.kind() != CompressorKind::ErrorBounded {
             return None;
         }
-        let (min, max) = value_range(as_interleaved(amps));
-        Some(self.bound.to_abs(max - min))
+        Some(self.bound.to_abs(as_interleaved(amps)))
     }
 
     /// The per-chunk error-budget ledger.
